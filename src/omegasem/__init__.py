@@ -17,7 +17,6 @@ from .errors import (
     NonAssociative,
     NotClosed,
     NotLinkedPair,
-    NotStrong,
     OmegasemError,
     ParseError,
     UnknownLetter,
@@ -74,7 +73,6 @@ from .langops import (
     union,
 )
 from .mso import (
-    CompileOptions,
     compile_formula,
     evaluate,
     parse,
@@ -94,7 +92,7 @@ from .cli import cli_dispatch
 __all__ = [
     "AlphabetMismatch", "ClosureCapExceeded", "EmptyPeriod",
     "MorphismMismatch", "MsoSyntaxError", "NonAssociative", "NotClosed",
-    "NotLinkedPair", "NotStrong", "OmegasemError", "ParseError",
+    "NotLinkedPair", "OmegasemError", "ParseError",
     "UnknownLetter", "UnknownVariable",
     "MonoidView", "Semigroup", "close_generators",
     "Morphism", "PairSet", "Recognizer", "UPWord", "is_empty",
@@ -109,7 +107,7 @@ __all__ = [
     "morphism_to_buchi", "weak_to_strong",
     "LetterMap", "complement", "intersect", "inverse_project",
     "language_equivalent", "language_included", "project", "union",
-    "CompileOptions", "compile_formula", "evaluate", "parse",
+    "compile_formula", "evaluate", "parse",
     "recognizer_stats", "sample_models",
     "load_buchi", "load_lettermap", "load_recognizer",
     "save_buchi", "save_lettermap", "save_recognizer",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AlphabetMismatch
 from .morphism import Morphism, PairSet, Recognizer, UPWord, linked_pairs
-from .semigroup import close_generators
+from .semigroup import MonoidView, close_generators
 
 
 @dataclass
@@ -71,13 +71,12 @@ def _profile_mul(m, n):
     return (exist.astype(np.int8) + two.astype(np.int8))
 
 
-def buchi_to_strong(aut: BuchiAutomaton, *, cap=None, audit_bound=0,
-                    restrict_initial=True) -> Recognizer:
+def buchi_to_strong(aut: BuchiAutomaton, *, cap=None,
+                    audit_bound=0) -> Recognizer:
     """A strong recognizer of L(aut) over the transition-profile semigroup.
 
-    When ``restrict_initial`` is true (the default, and the correct
-    semantics), a linked pair (s, e) is accepting iff some run starting in
-    an initial state follows s and then loops on e through a final state.
+    A linked pair (s, e) is accepting iff some run starting in an initial
+    state follows s and then loops on e through a final state.
     """
     values = [aut.letter_matrix(a) for a in aut.alphabet]
     kwargs = {} if cap is None else {"cap": cap}
@@ -85,13 +84,12 @@ def buchi_to_strong(aut: BuchiAutomaton, *, cap=None, audit_bound=0,
         values, _profile_mul, key=lambda v: v.tobytes(),
         audit_bound=audit_bound, **kwargs)
     morphism = Morphism(aut.alphabet, sg, seeds)
-    rows = aut.initial if restrict_initial else np.ones(aut.n_states, bool)
     bits = np.zeros((sg.size, sg.size), dtype=bool)
     lp = linked_pairs(sg)
     for (s, e) in lp.pairs():
         r, em = elements[s], elements[e]
         loops = np.diagonal(em) == 2
-        if np.any((r[rows, :] >= 1) & loops[None, :]):
+        if np.any((r[aut.initial, :] >= 1) & loops[None, :]):
             bits[s, e] = True
     return Recognizer(morphism, PairSet(bits), "strong")
 
@@ -100,6 +98,7 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     """A Büchi automaton for [P]; states are pairs (s, e), s in S^1, e in E."""
     h = rec.morphism
     sg = h.semigroup
+    mul = MonoidView(sg).mul
     one = sg.size
     idems = [int(e) for e in np.nonzero(sg.idempotents)[0]]
     states = {}
@@ -107,20 +106,13 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
         for s in list(range(sg.size)) + [one]:
             states[(s, e)] = len(states)
 
-    def mul1(a, b):
-        if a == one:
-            return b
-        if b == one:
-            return a
-        return int(sg.table[a, b])
-
     transitions = []
     for (s, e), i in states.items():
-        se = mul1(s, e)
+        se = mul(s, e)
         for ai, a in enumerate(h.alphabet):
             ha = h.images[ai]
             for t in list(range(sg.size)) + [one]:
-                hat = mul1(ha, t)
+                hat = mul(ha, t)
                 if hat == s or hat == se:
                     transitions.append((i, a, states[(t, e)]))
     initial = [states[(s, e)] for (s, e) in rec.accepting.pairs()]

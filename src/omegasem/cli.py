@@ -8,13 +8,12 @@ witness word is printed on stdout), 2 for usage errors, 3 for data errors
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 
 from . import buchi, conjugacy, formats, inclusion, langops, mso, syntactic
 from .errors import OmegasemError
-from .morphism import Recognizer, universal_recognizer
+from .morphism import Recognizer
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -160,8 +159,7 @@ def cmd_gen_adversarial(args):
 def cmd_mso_compile(args):
     with open(args.formula, "r", encoding="utf-8") as fh:
         text = fh.read()
-    rec = mso.compile_formula(text,
-                              mso.CompileOptions(audit=args.audit))
+    rec = mso.compile_formula(text, audit=args.audit)
     if args.stats:
         print(_stats_line(rec))
     if args.emit is not None:
@@ -217,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--audit", action="store_true",
                         help="enable exhaustive associativity and "
                              "congruence checks")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed the random generator for reproducibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("minimize", help="compute the syntactic recognizer")
@@ -322,8 +318,6 @@ def cli_dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_TRUE
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except (OmegasemError, OSError) as exc:

@@ -29,10 +29,6 @@ class NotClosed(OmegasemError):
     """Raised when a pair set that must be conjugation-closed is not."""
 
 
-class NotStrong(OmegasemError):
-    """Raised when an operation requires conjugation-closed acceptance."""
-
-
 class MorphismMismatch(OmegasemError):
     """Raised when two recognizers over different morphisms are combined."""
 

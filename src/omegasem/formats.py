@@ -7,9 +7,9 @@ canonical form, so save -> load -> save is byte stable.
 
 Recognizer files carry the multiplication table either in full (row-major,
 one row per line) or as ``table: generated`` followed by the right-Cayley
-rows ``s * g_j`` only; the full table is then rebuilt on load by closing the
-generators, which keeps files for large semigroups quadratic in
-|S| * |generators| instead of |S|^2.
+rows ``s * g_j`` only; ``Semigroup.from_right_cayley`` then rebuilds the full
+table on load, which keeps files for large semigroups linear in
+|S| * |generators| instead of quadratic in |S|.
 """
 
 from __future__ import annotations
@@ -150,46 +150,6 @@ def dumps_recognizer(rec: Recognizer, *, generated: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def _table_from_cayley(rc: np.ndarray, generators, fail, cap: int):
-    """Rebuild the full table from right-Cayley rows ``s * g_j``.
-
-    Every column is filled by reassociating against one decomposition
-    ``t = parent(t) * g`` found by breadth-first search from the generators.
-    """
-    n = rc.shape[0]
-    if n > cap:
-        fail("table generation over %d elements exceeds cap %d" % (n, cap))
-    parent = np.full(n, -1, dtype=np.int32)
-    parent_gen = np.full(n, -1, dtype=np.int32)
-    seen = np.zeros(n, dtype=bool)
-    order = []
-    for g in generators:
-        if not seen[g]:
-            seen[g] = True
-            order.append(g)
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for j in range(rc.shape[1]):
-            t = int(rc[s, j])
-            if not seen[t]:
-                seen[t] = True
-                parent[t] = s
-                parent_gen[t] = j
-                order.append(t)
-    if len(order) != n:
-        fail("generated table has elements unreachable from the images")
-    gen_col = {g: j for j, g in enumerate(generators)}
-    table = np.empty((n, n), dtype=np.int32)
-    for t in order:
-        if parent[t] < 0:
-            table[:, t] = rc[:, gen_col[t]]
-        else:
-            table[:, t] = rc[table[:, parent[t]], parent_gen[t]]
-    return table
-
-
 def loads_recognizer(text: str, *, audit_bound: Optional[int] = None) -> Recognizer:
     lines = _Lines(text)
     _check_header(lines, "recognizer", RECOGNIZER_VERSION)
@@ -227,9 +187,10 @@ def loads_recognizer(text: str, *, audit_bound: Optional[int] = None) -> Recogni
     if rows.size and (rows.min() < 0 or rows.max() >= n):
         lines.fail("table entries out of range")
     if kind == "generated":
-        table = _table_from_cayley(rows, generators, lines.fail, closure_cap())
-    else:
-        table = rows
+        cap = closure_cap()
+        if n > cap:
+            lines.fail("table generation over %d elements exceeds cap %d"
+                       % (n, cap))
     if lines.expect("accept"):
         lines.fail("unexpected content after 'accept:'")
     accepting = PairSet.empty(n)
@@ -241,7 +202,10 @@ def loads_recognizer(text: str, *, audit_bound: Optional[int] = None) -> Recogni
     lines.done()
     kwargs = {} if audit_bound is None else {"audit_bound": audit_bound}
     try:
-        sg = Semigroup(table, generators, **kwargs)
+        if kind == "generated":
+            sg = Semigroup.from_right_cayley(rows, generators, **kwargs)
+        else:
+            sg = Semigroup(rows, generators, **kwargs)
         return Recognizer(Morphism(alphabet, sg, images), accepting, mode)
     except (ValueError, OmegasemError) as exc:
         raise ParseError(str(exc))

@@ -14,10 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .conjugacy import close_under_conjugation, is_conjugation_closed
-from .errors import NotLinkedPair, NotStrong
+from .conjugacy import close_under_conjugation
+from .errors import NotLinkedPair
 from .morphism import (Morphism, PairSet, Recognizer, UPWord,
                        check_same_morphism, linked_pairs)
+from .semigroup import MonoidView
 
 
 @dataclass
@@ -61,7 +62,7 @@ def inclusion_test(morphism: Morphism, p_set: PairSet, q_set: PairSet,
     for ps in (p_set, q_set):
         if not ps.issubset(lp):
             raise NotLinkedPair("pair set contains a non-linked pair")
-    table = sg.table
+    mul = MonoidView(sg).mul
     qbits = q_set.bits
     seen = np.zeros((n, n + 1, n + 1), dtype=bool)
     divisors = RightDivisorIndex(morphism)
@@ -76,13 +77,6 @@ def inclusion_test(morphism: Morphism, p_set: PairSet, q_set: PairSet,
             parent[(s, e, one)] = None
     visited = 0
 
-    def mul1(a, b):
-        if a == one:
-            return b
-        if b == one:
-            return a
-        return int(table[a, b])
-
     while stack:
         s, x, y = stack.pop()
         visited += 1
@@ -95,21 +89,21 @@ def inclusion_test(morphism: Morphism, p_set: PairSet, q_set: PairSet,
                 v.append(letter)
                 node = nxt
             return InclusionResult(False, UPWord(tuple(u), tuple(v)), visited)
-        sx = mul1(s, x)
-        yx = mul1(y, x)
-        yxyx = mul1(yx, yx)
+        sx = mul(s, x)
+        yx = mul(y, x)
+        yxyx = mul(yx, yx)
         # both components lie in S here except possibly yxyx on the initial
         # probes where y = 1 and yxyx = x = e
         if sx != one and yxyx != one and qbits[sx, yxyx]:
             continue
         for ai, a in enumerate(letters):
             ha = images[ai]
-            hay = mul1(ha, y)
+            hay = mul(ha, y)
             for p in divisors.by_letter[ai][x]:
                 if not seen[s, p, hay]:
                     seen[s, p, hay] = True
                     triple = (s, p, hay)
-                    parent[triple] = (a, (s, mul1(p, ha), y))
+                    parent[triple] = (a, (s, mul(p, ha), y))
                     stack.append(triple)
     return InclusionResult(True, None, visited)
 

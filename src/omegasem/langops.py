@@ -50,19 +50,22 @@ def _product(r1: Recognizer, r2: Recognizer):
     return Morphism(r1.morphism.alphabet, sg, seeds), elements
 
 
-def _combine(r1, r2, keep) -> Recognizer:
-    """Product recognizer whose pairs satisfy ``keep(in_P1, in_P2)``."""
+def _transport(r1: Recognizer, r2: Recognizer):
+    """Both maximal pair sets pulled back onto the product morphism.
+
+    Returns ``(h, p1, p2, lp)``: the product morphism, the linked pairs of
+    ``h`` whose components lie in each operand's maximal pair set, and all
+    linked pairs of ``h``.
+    """
     r1, r2 = _strong(r1), _strong(r2)
     h, elements = _product(r1, r2)
     f1 = maximal_pair_set(r1.morphism, r1.accepting)
     f2 = maximal_pair_set(r2.morphism, r2.accepting)
     lp = linked_pairs(h.semigroup)
-    bits = np.zeros((h.semigroup.size, h.semigroup.size), dtype=bool)
-    for (s, e) in lp.pairs():
-        (s1, s2), (e1, e2) = elements[s], elements[e]
-        if keep((s1, e1) in f1, (s2, e2) in f2):
-            bits[s, e] = True
-    return Recognizer(h, PairSet(bits), "strong")
+    c1, c2 = np.asarray(elements).T  # first and second components
+    p1 = PairSet(lp.bits & f1.bits[np.ix_(c1, c1)])
+    p2 = PairSet(lp.bits & f2.bits[np.ix_(c2, c2)])
+    return h, p1, p2, lp
 
 
 def language_included(r1: Recognizer, r2: Recognizer):
@@ -74,19 +77,8 @@ def language_included(r1: Recognizer, r2: Recognizer):
     from .inclusion import included, inclusion_test
     if r1.morphism.same_as(r2.morphism):
         return included(r1, r2)
-    r1, r2 = _strong(r1), _strong(r2)
-    h, elements = _product(r1, r2)
-    f1 = maximal_pair_set(r1.morphism, r1.accepting)
-    f2 = maximal_pair_set(r2.morphism, r2.accepting)
-    lp = linked_pairs(h.semigroup)
-    n = h.semigroup.size
-    p1 = np.zeros((n, n), dtype=bool)
-    p2 = np.zeros((n, n), dtype=bool)
-    for (s, e) in lp.pairs():
-        (s1, s2), (e1, e2) = elements[s], elements[e]
-        p1[s, e] = (s1, e1) in f1
-        p2[s, e] = (s2, e2) in f2
-    return inclusion_test(h, PairSet(p1), PairSet(p2), _lp=lp)
+    h, p1, p2, lp = _transport(r1, r2)
+    return inclusion_test(h, p1, p2, _lp=lp)
 
 
 def language_equivalent(r1: Recognizer, r2: Recognizer):
@@ -101,11 +93,13 @@ def language_equivalent(r1: Recognizer, r2: Recognizer):
 
 
 def union(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    return minimize(_combine(r1, r2, lambda a, b: a or b), audit=audit)
+    h, p1, p2, _ = _transport(r1, r2)
+    return minimize(Recognizer(h, p1 | p2, "strong"), audit=audit)
 
 
 def intersect(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    return minimize(_combine(r1, r2, lambda a, b: a and b), audit=audit)
+    h, p1, p2, _ = _transport(r1, r2)
+    return minimize(Recognizer(h, p1 & p2, "strong"), audit=audit)
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,14 @@ complementation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from threading import Lock
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
-
-import numpy as np
 
 from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError, UnknownVariable
-from .inclusion import inclusion_test
 from .langops import LetterMap, complement, intersect, inverse_project, \
     project, union
-from .morphism import PairSet, Recognizer, UPWord, linked_pairs, member
+from .morphism import Recognizer, UPWord
 from .syntactic import minimize
 
 
@@ -342,77 +338,43 @@ def _singleton_buchi(variables, v) -> BuchiAutomaton:
 # compilation
 
 
-@dataclass(frozen=True)
-class CompileOptions:
-    """Encoding knobs; the defaults give the standard MSO semantics."""
-
-    restrict_initial: bool = True      # Büchi-to-morphism accepting rule
-    singleton_at_exists: bool = True   # re-impose exactly-once at "E x."
-    project_via_buchi: bool = False    # track erasure through an automaton
-    audit: bool = False
-
-
 class Compiler:
     """Bottom-up compiler with memoization of identical subproblems."""
 
-    def __init__(self, options: CompileOptions = CompileOptions()):
-        self.options = options
+    def __init__(self, *, audit=False):
+        self.audit = audit
         self._memo: Dict[tuple, Tuple[Recognizer, tuple]] = {}
-        self._lock = Lock()
 
     def _mini(self, rec: Recognizer) -> Recognizer:
-        return minimize(rec, audit=self.options.audit)
+        return minimize(rec, audit=self.audit)
 
     def atomic(self, atom, variables) -> Recognizer:
         for v in free_vars(atom):
             if v not in variables:
                 raise UnknownVariable("variable %r not in scope" % (v,))
         aut = _atom_buchi(atom, variables)
-        rec = buchi_to_strong(
-            aut, restrict_initial=self.options.restrict_initial)
-        return self._mini(rec)
+        return self._mini(buchi_to_strong(aut))
 
     def singleton(self, variables, v) -> Recognizer:
         aut = _singleton_buchi(variables, v)
-        rec = buchi_to_strong(
-            aut, restrict_initial=self.options.restrict_initial)
-        return self._mini(rec)
-
-    def _project(self, rec: Recognizer, lmap: LetterMap) -> Recognizer:
-        if not self.options.project_via_buchi:
-            return project(rec, lmap, audit=self.options.audit)
-        # alternative route: convert to a Büchi automaton, relabel its
-        # edges along the letter map, and convert back
-        from .buchi import morphism_to_buchi
-        aut = morphism_to_buchi(rec)
-        n = aut.n_states
-        edges = {b: np.zeros((n, n), dtype=bool) for b in lmap.target}
-        for a, m in aut.edges.items():
-            edges[lmap.mapping[a]] |= m
-        out = BuchiAutomaton(n, tuple(lmap.target), edges, aut.initial,
-                             aut.final)
-        return self._mini(buchi_to_strong(
-            out, restrict_initial=self.options.restrict_initial))
+        return self._mini(buchi_to_strong(aut))
 
     def _align(self, rec: Recognizer, have, want) -> Recognizer:
         if set(have) == set(want):
             return rec
         return inverse_project(rec, _erasing_map(want, have),
-                               audit=self.options.audit)
+                               audit=self.audit)
 
     def compile(self, phi: Formula) -> Recognizer:
         rec, fv = self._go(phi)
         return rec
 
     def _go(self, phi: Formula):
-        key = phi
-        with self._lock:
-            hit = self._memo.get(key)
+        hit = self._memo.get(phi)
         if hit is not None:
             return hit
         out = self._build(phi)
-        with self._lock:
-            self._memo[key] = out
+        self._memo[phi] = out
         return out
 
     def _build(self, phi: Formula):
@@ -421,7 +383,7 @@ class Compiler:
             return self.atomic(phi, fv), fv
         if isinstance(phi, Not):
             sub, sfv = self._go(phi.body)
-            return complement(sub, audit=self.options.audit), sfv
+            return complement(sub, audit=self.audit), sfv
         if isinstance(phi, (And, Or)):
             l, lfv = self._go(phi.left)
             r, rfv = self._go(phi.right)
@@ -429,26 +391,25 @@ class Compiler:
             l = self._align(l, lfv, both)
             r = self._align(r, rfv, both)
             op = intersect if isinstance(phi, And) else union
-            return op(l, r, audit=self.options.audit), both
+            return op(l, r, audit=self.audit), both
         if isinstance(phi, Exists):
             sub, sfv = self._go(phi.body)
             if phi.var not in sfv:
                 return sub, sfv
-            if self.options.singleton_at_exists \
-                    and not is_second_order(phi.var):
+            if not is_second_order(phi.var):
                 sub = intersect(sub, self.singleton(sfv, phi.var),
-                                audit=self.options.audit)
+                                audit=self.audit)
             rest = tuple(v for v in sfv if v != phi.var)
-            out = self._project(sub, _erasing_map(sfv, rest))
+            out = project(sub, _erasing_map(sfv, rest), audit=self.audit)
             return out, rest
         raise TypeError("not a formula: %r" % (phi,))
 
 
-def compile_formula(phi, options: CompileOptions = CompileOptions()):
+def compile_formula(phi, *, audit=False):
     """Compile a formula (or its source text) to a minimized recognizer."""
     if isinstance(phi, str):
         phi = parse(phi)
-    return Compiler(options).compile(phi)
+    return Compiler(audit=audit).compile(phi)
 
 
 def recognizer_stats(rec: Recognizer):
@@ -485,9 +446,9 @@ def chi_formula(k: int) -> Formula:
 FAMILIES = {"phi": phi_formula, "psi": psi_formula, "chi": chi_formula}
 
 
-def table_row(k: int, options: CompileOptions = CompileOptions()):
+def table_row(k: int, *, audit=False):
     """The (|S|, |F|, |P|) triples for phi_k, psi_k, chi_k."""
-    return {name: recognizer_stats(compile_formula(fam(k), options))
+    return {name: recognizer_stats(compile_formula(fam(k), audit=audit))
             for name, fam in FAMILIES.items()}
 
 

@@ -1,14 +1,16 @@
 """Finite semigroups with dense multiplication tables.
 
 Elements are integer indices into a full |S| x |S| table.  Semigroups are
-built by closing a set of generator values under an abstract product; the
-breadth-first discovery order fixes the element numbering, so equal inputs
-always yield identical tables.
+built by closing a set of generator values under an abstract product, or
+from their right Cayley graph; either way the table is filled column by
+column along a breadth-first search from the generators.  In a closure the
+discovery order fixes the element numbering, so equal inputs always yield
+identical tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,7 +43,8 @@ class Semigroup:
         self.table = table
         self.generators = tuple(int(g) for g in generators)
         if parent is None:
-            parent, parent_gen = self._derive_parents()
+            _, parent, parent_gen = cayley_bfs(self.right_cayley,
+                                               self.generators)
         self.parent = np.asarray(parent, dtype=np.int32)
         self.parent_gen = np.asarray(parent_gen, dtype=np.int32)
         if np.any((self.parent < 0) & ~np.isin(np.arange(n), self.generators)):
@@ -51,31 +54,21 @@ class Semigroup:
         if n <= audit_bound:
             self._audit_associativity()
 
-    # -- construction helpers ------------------------------------------------
+    @classmethod
+    def from_right_cayley(cls, rc, generators, *,
+                          audit_bound=DEFAULT_AUDIT_BOUND):
+        """The semigroup with right-Cayley rows ``rc[s, j] = s * generators[j]``.
 
-    def _derive_parents(self):
-        """BFS over right multiplication by generators, from the generators."""
-        n = self.size
-        parent = np.full(n, -1, dtype=np.int32)
-        parent_gen = np.full(n, -1, dtype=np.int32)
-        seen = np.zeros(n, dtype=bool)
-        order = []
-        for g in self.generators:
-            if not seen[g]:
-                seen[g] = True
-                order.append(g)
-        i = 0
-        while i < len(order):
-            s = order[i]
-            i += 1
-            for j, g in enumerate(self.generators):
-                t = int(self.table[s, g])
-                if not seen[t]:
-                    seen[t] = True
-                    parent[t] = s
-                    parent_gen[t] = j
-                    order.append(t)
-        return parent, parent_gen
+        ``generators`` must be distinct.  Element numbering is kept; the full
+        table is rebuilt along a breadth-first search from the generators.
+        """
+        rc = np.asarray(rc, dtype=np.int32)
+        order, parent, parent_gen = cayley_bfs(rc, generators)
+        if len(order) != rc.shape[0]:
+            raise ValueError("elements unreachable from generators")
+        table = _fill_table(rc, generators, order, parent, parent_gen)
+        return cls(table, generators, parent, parent_gen,
+                   audit_bound=audit_bound)
 
     def _audit_associativity(self):
         t = self.table
@@ -170,6 +163,54 @@ class Semigroup:
         return np.unique(sub)
 
 
+def cayley_bfs(rc, generators):
+    """Breadth-first search of the right Cayley graph from the generators.
+
+    ``rc[s, j] = s * generators[j]``.  Returns ``(order, parent, parent_gen)``
+    as lists: the reached elements in discovery order, distinct generators
+    first, and for each other reached element one decomposition
+    ``t = parent[t] * generators[parent_gen[t]]``.  Generators and
+    unreached elements have parent -1.
+    """
+    rows = rc.tolist()
+    parent = [-1] * len(rows)
+    parent_gen = [-1] * len(rows)
+    seen = [False] * len(rows)
+    order = []
+    for g in generators:
+        if not seen[g]:
+            seen[g] = True
+            order.append(g)
+    i = 0
+    while i < len(order):
+        s = order[i]
+        i += 1
+        for j, t in enumerate(rows[s]):
+            if not seen[t]:
+                seen[t] = True
+                parent[t] = s
+                parent_gen[t] = j
+                order.append(t)
+    return order, parent, parent_gen
+
+
+def _fill_table(rc, generators, order, parent, parent_gen):
+    """The full table from right-Cayley rows ``rc[s, j] = s * generators[j]``.
+
+    Generator columns are copied from ``rc``; every other column is filled
+    by reassociating, ``s * t = (s * parent[t]) * g``, in ``order``, which
+    must list each element after its parent.
+    """
+    n = rc.shape[0]
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, list(generators)] = rc
+    for t in order:
+        p = parent[t]
+        if p >= 0:
+            table[:, t] = rc[table[:, p], parent_gen[t]]
+    return table
+
+
 def _renumber(labels):
     """Renumber labels by first occurrence; returns (labels, count)."""
     labels = np.asarray(labels)
@@ -233,15 +274,9 @@ def close_generators(values: Sequence, multiply: Callable, *, key=None,
             row.append(t)
         rc_rows.append(row)
         i += 1
-    n = len(elements)
     rc = np.asarray(rc_rows, dtype=np.int32)
-    table = np.empty((n, n), dtype=np.int32)
-    for t in range(n):
-        if t < ngen:
-            table[:, t] = rc[:, t]
-        else:
-            # t = parent * g, so s*t = (s*parent)*g for every s
-            table[:, t] = rc[table[:, parent[t]], parent_gen[t]]
+    table = _fill_table(rc, gen_positions, range(len(elements)), parent,
+                       parent_gen)
     sg = Semigroup(table, gen_positions, parent, parent_gen,
                    audit_bound=audit_bound)
     return sg, seed_indices, elements
@@ -251,20 +286,21 @@ class MonoidView:
     """The monoid S^1: a fresh identity adjoined to a semigroup.
 
     The identity always gets index ``size - 1`` even when the semigroup
-    already has a neutral element.
+    already has a neutral element.  ``table`` is the multiplication table of
+    S^1: the semigroup's table with the identity's row and column appended.
     """
 
     def __init__(self, semigroup: Semigroup):
         self.semigroup = semigroup
-        self.one = semigroup.size
+        n = semigroup.size
+        self.one = n
+        self.table = np.empty((n + 1, n + 1), dtype=np.int32)
+        self.table[:n, :n] = semigroup.table
+        self.table[n, :] = self.table[:, n] = np.arange(n + 1)
 
     @property
     def size(self):
         return self.semigroup.size + 1
 
     def mul(self, s, t):
-        if s == self.one:
-            return t
-        if t == self.one:
-            return s
-        return int(self.semigroup.table[s, t])
+        return int(self.table[s, t])

@@ -11,14 +11,13 @@ quotient morphism is the syntactic morphism of [P].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from .conjugacy import close_under_conjugation, is_conjugation_closed
 from .errors import NotClosed
-from .morphism import Morphism, PairSet, Recognizer, linked_pairs
-from .semigroup import Semigroup, close_generators
+from .morphism import Morphism, PairSet, Recognizer
+from .semigroup import Semigroup, cayley_bfs, close_generators
 
 
 def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
@@ -179,7 +178,8 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     n = sg.size
     closed = close_under_conjugation(morphism, rec.accepting)
     q = maximal_pair_set(morphism, closed)
-    part = RefinablePartition(initial_partition(q))
+    initial = initial_partition(q)
+    part = RefinablePartition(initial)
     part.split_work = 0  # count only while-loop work
     table = sg.table
     images = sorted(set(morphism.images))
@@ -220,29 +220,17 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
                          dtype=np.int64, count=n)
     rep_arr = np.fromiter((reps[cid] for cid in old_ids), dtype=np.int64,
                           count=m)
-    tmp_table = tmp_of[table[np.ix_(rep_arr, rep_arr)]]
     tmp_images = [int(tmp_of[x]) for x in morphism.images]
-    # canonical BFS renumbering
-    renum = np.full(m, -1, dtype=np.int64)
-    order = []
-    for g in tmp_images:
-        if renum[g] < 0:
-            renum[g] = len(order)
-            order.append(g)
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for g in tmp_images:
-            t = int(tmp_table[s, g])
-            if renum[t] < 0:
-                renum[t] = len(order)
-                order.append(t)
+    tmp_gens = _dedup(tmp_images)
+    tmp_rc = tmp_of[table[np.ix_(rep_arr, rep_arr[tmp_gens])]]
+    order, _, _ = cayley_bfs(tmp_rc, tmp_gens)
     if len(order) != m:
         raise NotClosed("quotient is not generated by the letter images")
-    new_table = renum[tmp_table[np.ix_(order, order)]]
+    renum = np.empty(m, dtype=np.int64)
+    renum[order] = np.arange(m)
+    quotient = Semigroup.from_right_cayley(renum[tmp_rc[order]],
+                                           range(len(tmp_gens)))
     new_images = [int(renum[x]) for x in tmp_images]
-    quotient = Semigroup(new_table, _dedup(new_images))
     new_morphism = Morphism(morphism.alphabet, quotient, new_images)
     projection = renum[tmp_of].astype(np.int64)
     new_bits = np.zeros((m, m), dtype=bool)
@@ -253,13 +241,13 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         # congruence well-definedness: the quotient table must not depend on
         # the choice of representatives
         if not np.array_equal(projection[table],
-                              new_table[projection][:, projection]):
+                              quotient.table[projection][:, projection]):
             raise NotClosed("refinement did not produce a congruence")
         if not is_conjugation_closed(new_morphism, accepting):
             raise NotClosed("projected accepting set is not closed")
     result = Recognizer(new_morphism, accepting, "strong")
     return SyntacticResult(result, projection, q, part.split_work,
-                           int(initial_partition(q).max()) + 1)
+                           int(initial.max()) + 1)
 
 
 def _dedup(xs):

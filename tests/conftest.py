@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from omegasem import (Morphism, PairSet, Recognizer, Semigroup,
+from omegasem import (MonoidView, Morphism, PairSet, Recognizer, Semigroup,
                       close_generators, linked_pairs)
 
 
@@ -72,13 +72,7 @@ def brute_force_conjugacy(morphism):
     sg = morphism.semigroup
     n = sg.size
     one = n
-
-    def mul1(a, b):
-        if a == one:
-            return b
-        if b == one:
-            return a
-        return int(sg.table[a, b])
+    mul = MonoidView(sg).mul
 
     pairs = linked_pairs(sg).pairs()
     index = {p: i for i, p in enumerate(pairs)}
@@ -87,9 +81,9 @@ def brute_force_conjugacy(morphism):
     for (s, e) in pairs:
         i = index[(s, e)]
         for x, y in itertools.product(elements1, repeat=2):
-            if mul1(x, y) != e:
+            if mul(x, y) != e:
                 continue
-            t, f = mul1(s, x), mul1(y, x)
+            t, f = mul(s, x), mul(y, x)
             j = index.get((t, f))
             if j is not None:
                 adj[i].add(j)

@@ -166,6 +166,8 @@ def test_mso_compile_stats_and_emit(run, tmp_path):
     assert code == 0
     assert out.strip() == "|S|=4 |F|=9 |P|=1"
     assert run("universal", str(rec_path))[0] == 1
+    code, out, _ = run("--audit", "mso", "compile", str(src), "--stats")
+    assert code == 0 and out.strip() == "|S|=4 |F|=9 |P|=1"
 
     bad = tmp_path / "bad.mso"
     bad.write_text("E x. x <")

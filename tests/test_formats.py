@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from omegasem import (BuchiAutomaton, ParseError, Recognizer,
+from omegasem import (BuchiAutomaton, ParseError, Recognizer, cli_dispatch,
                       load_recognizer, save_recognizer)
 from omegasem.formats import (CAP_ENV_VAR, closure_cap, dumps_buchi,
                               dumps_lettermap, dumps_recognizer, loads_buchi,
@@ -36,9 +36,36 @@ def test_generated_table_roundtrip(rng):
     for _ in range(25):
         rec = random_recognizer(rng, max_size=16)
         text = dumps_recognizer(rec, generated=True)
-        assert same_recognizer(rec, loads_recognizer(text))
+        back = loads_recognizer(text)
+        assert same_recognizer(rec, back)
+        # witness words are read off the BFS decompositions
+        sg, sg2 = rec.morphism.semigroup, back.morphism.semigroup
+        assert np.array_equal(sg.parent, sg2.parent)
+        assert np.array_equal(sg.parent_gen, sg2.parent_gen)
+        assert all(sg.word_of(s) == sg2.word_of(s) for s in range(sg.size))
     full = dumps_recognizer(rec)
     assert len(text) <= len(full)
+
+
+UNREACHABLE = """recognizer v1
+mode: weak
+alphabet: a
+elements: 2
+image: a -> 0
+table: generated
+0
+1
+accept:
+"""
+
+
+def test_generated_table_with_unreachable_element(tmp_path):
+    # element 1 is its own right multiple, never a product of the image
+    with pytest.raises(ParseError, match="unreachable"):
+        loads_recognizer(UNREACHABLE)
+    path = tmp_path / "unreachable.txt"
+    path.write_text(UNREACHABLE)
+    assert cli_dispatch(["minimize", str(path)]) == 3
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -4,10 +4,10 @@ import pytest
 
 from omegasem import (MsoSyntaxError, UPWord, compile_formula, evaluate,
                       member, parse)
-from omegasem.mso import (And, CompileOptions, Exists, In, Less, Not, Or,
-                          Succ, chi_formula, free_vars, phi_formula,
-                          psi_formula, recognizer_stats, sample_models,
-                          table_row, var_alphabet)
+from omegasem.mso import (And, Exists, In, Less, Not, Or, Succ, chi_formula,
+                          free_vars, phi_formula, psi_formula,
+                          recognizer_stats, sample_models, table_row,
+                          var_alphabet)
 
 from conftest import random_upword
 
@@ -167,14 +167,6 @@ def test_table_row_shape():
     row = table_row(2)
     assert set(row) == {"phi", "psi", "chi"}
     assert all(len(v) == 3 for v in row.values())
-
-
-def test_compile_options_literal_rule_grows_language():
-    from omegasem import language_included
-    phi = parse("A x. E y. (x < y & y in X)")
-    strict = compile_formula(phi)
-    literal = compile_formula(phi, CompileOptions(restrict_initial=False))
-    assert language_included(strict, literal).included
 
 
 def test_sample_models_are_members():

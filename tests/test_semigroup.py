@@ -95,6 +95,10 @@ def test_monoid_view_identity():
     for s in range(3):
         assert m.mul(m.one, s) == s == m.mul(s, m.one)
     assert m.mul(1, 2) == 0
+    assert m.mul(m.one, m.one) == m.one
+    assert m.table.shape == (4, 4)
+    assert np.array_equal(m.table[:3, :3], sg.table)
+    assert list(m.table[m.one]) == list(m.table[:, m.one]) == [0, 1, 2, 3]
 
 
 def test_idempotent_power_is_idempotent_everywhere(rng):
