@@ -84,14 +84,14 @@ def buchi_to_strong(aut: BuchiAutomaton, *, cap=None,
         values, _profile_mul, key=lambda v: v.tobytes(),
         audit_bound=audit_bound, **kwargs)
     morphism = Morphism(aut.alphabet, sg, seeds)
-    bits = np.zeros((sg.size, sg.size), dtype=bool)
-    lp = linked_pairs(sg)
-    for (s, e) in lp.pairs():
-        r, em = elements[s], elements[e]
-        loops = np.diagonal(em) == 2
-        if np.any((r[aut.initial, :] >= 1) & loops[None, :]):
-            bits[s, e] = True
-    return Recognizer(morphism, PairSet(bits), "strong")
+    profiles = np.stack(elements)
+    # reach[s, q]: s leads from an initial state to q; loops[e, q]: e loops
+    # on q through a final state
+    reach = (profiles[:, aut.initial, :] >= 1).any(axis=1)
+    loops = np.diagonal(profiles, axis1=1, axis2=2) == 2
+    hit = (reach.astype(np.float32) @ loops.T.astype(np.float32)) > 0
+    return Recognizer(morphism, PairSet(linked_pairs(sg).bits & hit),
+                      "strong")
 
 
 def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:

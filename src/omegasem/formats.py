@@ -234,8 +234,8 @@ def loads_buchi(text: str) -> BuchiAutomaton:
         n = int(lines.expect("states"))
     except ValueError:
         lines.fail("states must be an integer")
-    if n <= 0:
-        lines.fail("states must be positive")
+    if n < 0:
+        lines.fail("states must not be negative")
     alphabet = lines.expect("alphabet").split()
     _check_letters(alphabet, lines.fail)
 

@@ -52,13 +52,13 @@ class RightDivisorIndex:
             self.by_letter.append(divs)
 
 
-def inclusion_test(morphism: Morphism, p_set: PairSet, q_set: PairSet,
-                   _lp=None) -> InclusionResult:
+def inclusion_test(morphism: Morphism, p_set: PairSet,
+                   q_set: PairSet) -> InclusionResult:
     """Decide [P] subseteq [Q]; on failure produce a witness word."""
     sg = morphism.semigroup
     n = sg.size
     one = n
-    lp = linked_pairs(sg) if _lp is None else _lp
+    lp = linked_pairs(sg)
     for ps in (p_set, q_set):
         if not ps.issubset(lp):
             raise NotLinkedPair("pair set contains a non-linked pair")
@@ -133,5 +133,5 @@ def equivalent(r1: Recognizer, r2: Recognizer):
 
 def universal(rec: Recognizer) -> InclusionResult:
     """Decide [P] = A^omega (inclusion of the full linked-pair set)."""
-    lp = linked_pairs(rec.morphism.semigroup)
-    return inclusion_test(rec.morphism, lp, rec.accepting, _lp=lp)
+    return inclusion_test(rec.morphism, linked_pairs(rec.morphism.semigroup),
+                          rec.accepting)

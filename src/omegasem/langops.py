@@ -53,9 +53,8 @@ def _product(r1: Recognizer, r2: Recognizer):
 def _transport(r1: Recognizer, r2: Recognizer):
     """Both maximal pair sets pulled back onto the product morphism.
 
-    Returns ``(h, p1, p2, lp)``: the product morphism, the linked pairs of
-    ``h`` whose components lie in each operand's maximal pair set, and all
-    linked pairs of ``h``.
+    Returns ``(h, p1, p2)``: the product morphism and the linked pairs of
+    ``h`` whose components lie in each operand's maximal pair set.
     """
     r1, r2 = _strong(r1), _strong(r2)
     h, elements = _product(r1, r2)
@@ -65,7 +64,7 @@ def _transport(r1: Recognizer, r2: Recognizer):
     c1, c2 = np.asarray(elements).T  # first and second components
     p1 = PairSet(lp.bits & f1.bits[np.ix_(c1, c1)])
     p2 = PairSet(lp.bits & f2.bits[np.ix_(c2, c2)])
-    return h, p1, p2, lp
+    return h, p1, p2
 
 
 def language_included(r1: Recognizer, r2: Recognizer):
@@ -77,8 +76,7 @@ def language_included(r1: Recognizer, r2: Recognizer):
     from .inclusion import included, inclusion_test
     if r1.morphism.same_as(r2.morphism):
         return included(r1, r2)
-    h, p1, p2, lp = _transport(r1, r2)
-    return inclusion_test(h, p1, p2, _lp=lp)
+    return inclusion_test(*_transport(r1, r2))
 
 
 def language_equivalent(r1: Recognizer, r2: Recognizer):
@@ -93,12 +91,12 @@ def language_equivalent(r1: Recognizer, r2: Recognizer):
 
 
 def union(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, p1, p2, _ = _transport(r1, r2)
+    h, p1, p2 = _transport(r1, r2)
     return minimize(Recognizer(h, p1 | p2, "strong"), audit=audit)
 
 
 def intersect(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, p1, p2, _ = _transport(r1, r2)
+    h, p1, p2 = _transport(r1, r2)
     return minimize(Recognizer(h, p1 & p2, "strong"), audit=audit)
 
 
@@ -186,10 +184,7 @@ def inverse_project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recogni
         values, lambda a, b: int(table[a, b]), audit_bound=0)
     new_h = Morphism(tuple(lmap.source), sg, seeds)
     full = maximal_pair_set(h, rec.accepting)
-    lp = linked_pairs(sg)
-    bits = np.zeros((sg.size, sg.size), dtype=bool)
-    for (s, e) in lp.pairs():
-        if (elements[s], elements[e]) in full:
-            bits[s, e] = True
+    el = np.asarray(elements)
+    bits = linked_pairs(sg).bits & full.bits[np.ix_(el, el)]
     out = Recognizer(new_h, PairSet(bits), "strong")
     return minimize(out, audit=audit)

@@ -150,24 +150,9 @@ class PairSet:
 def linked_pairs(semigroup: Semigroup) -> PairSet:
     """All linked pairs (s, e): e idempotent, s * e = s.
 
-    For each idempotent e the fixed points of right multiplication by e are
-    exactly {e} together with S*e, i.e. the elements reachable from e in the
-    left Cayley graph.
+    The bitmap is the semigroup's cached, read-only ``linked`` mask.
     """
-    n = semigroup.size
-    bits = np.zeros((n, n), dtype=bool)
-    lc = semigroup.left_cayley
-    for e in np.nonzero(semigroup.idempotents)[0]:
-        stack = [int(e)]
-        col = bits[:, e]
-        col[e] = True
-        while stack:
-            s = stack.pop()
-            for t in lc[s]:
-                if not col[t]:
-                    col[t] = True
-                    stack.append(int(t))
-    return PairSet(bits)
+    return PairSet(semigroup.linked)
 
 
 @dataclass
@@ -226,7 +211,8 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     hv = pe[0]
     for x in pe[1:]:
         hv = int(table[hv, x])
-    f, m = h.semigroup.idempotent_power_exponent(hv)
+    fpow, mpow = h.semigroup.idempotent_powers
+    f, m = int(fpow[hv]), int(mpow[hv])
     hu = h.evaluate(prefix)
     if rec.mode == "strong":
         return (int(table[hu, f]), f) in rec.accepting

@@ -6,6 +6,10 @@ from their right Cayley graph; either way the table is filled column by
 column along a breadth-first search from the generators.  In a closure the
 discovery order fixes the element numbering, so equal inputs always yield
 identical tables.
+
+Derived data (idempotents, linked pairs, idempotent powers, Green's R- and
+L-classes) is computed from the table with array operations the first time
+it is asked for and cached on the semigroup as read-only arrays.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ClosureCapExceeded, NonAssociative
 
@@ -50,6 +52,8 @@ class Semigroup:
         if np.any((self.parent < 0) & ~np.isin(np.arange(n), self.generators)):
             raise ValueError("elements unreachable from generators")
         self._idempotents = None
+        self._linked = None
+        self._idempotent_powers = None
         self._green = {}
         if n <= audit_bound:
             self._audit_associativity()
@@ -100,29 +104,37 @@ class Semigroup:
         """Boolean mask of idempotent elements."""
         if self._idempotents is None:
             n = self.size
-            self._idempotents = self.table[np.arange(n), np.arange(n)] == np.arange(n)
+            self._idempotents = _frozen(
+                self.table[np.arange(n), np.arange(n)] == np.arange(n))
         return self._idempotents
 
-    def idempotent_power(self, s):
-        """The unique idempotent among the powers of ``s``."""
-        e, _ = self.idempotent_power_exponent(s)
-        return e
+    @property
+    def linked(self):
+        """``linked[s, e]`` iff (s, e) is linked: e * e = e and s * e = s."""
+        if self._linked is None:
+            linked = self.table == np.arange(self.size)[:, None]
+            linked &= self.idempotents
+            self._linked = _frozen(linked)
+        return self._linked
 
-    def idempotent_power_exponent(self, s):
-        """Return ``(e, m)`` with ``e = s^m`` idempotent and ``m >= 1``."""
-        seen = {}
-        p = int(s)
-        m = 1
-        while p not in seen:
-            seen[p] = m
-            p = int(self.table[p, s])
-            m += 1
-        # p starts a cycle; scan it for the idempotent
-        q = p
-        while True:
-            if self.table[q, q] == q:
-                return q, seen[q]
-            q = int(self.table[q, s])
+    @property
+    def idempotent_powers(self):
+        """``(e, m)``: ``e[s] = s^m[s]`` is idempotent, ``m[s] >= 1`` least.
+
+        All elements step through their powers together; an element drops
+        out as soon as its current power is idempotent.
+        """
+        if self._idempotent_powers is None:
+            idem = self.idempotents
+            e = np.arange(self.size, dtype=np.int32)
+            m = np.ones(self.size, dtype=np.int64)
+            todo = np.nonzero(~idem)[0]
+            while len(todo):
+                e[todo] = self.table[e[todo], todo]
+                m[todo] += 1
+                todo = todo[~idem[e[todo]]]
+            self._idempotent_powers = (_frozen(e), _frozen(m))
+        return self._idempotent_powers
 
     # -- Cayley graphs and Green's relations ----------------------------------
 
@@ -131,36 +143,45 @@ class Semigroup:
         """``right_cayley[s, j] = s * generators[j]``."""
         return self.table[:, list(self.generators)]
 
-    @property
-    def left_cayley(self):
-        """``left_cayley[s, j] = generators[j] * s``."""
-        return self.table[list(self.generators), :].T
-
     def green_classes(self, kind):
-        """Green's R- ('R') or L- ('L') classes as SCCs of a Cayley graph.
+        """Green's R- ('R') or L- ('L') classes, from the definition.
 
-        Returns ``(class_of, n_classes)`` where class ids are numbered by
-        first occurrence in element order.
+        s R t iff s S^1 = t S^1, and s L t iff S^1 s = S^1 t: elements are
+        grouped by the bitmap of their principal right (left) ideal.  Returns
+        ``(class_of, n_classes)`` where class ids are numbered by first
+        occurrence in element order.
         """
         if kind not in ("R", "L"):
             raise ValueError("kind must be 'R' or 'L'")
         if kind not in self._green:
             n = self.size
-            cay = self.right_cayley if kind == "R" else self.left_cayley
-            k = cay.shape[1]
-            rows = np.repeat(np.arange(n), k)
-            cols = cay.reshape(-1)
-            data = np.ones(n * k, dtype=np.int8)
-            graph = csr_matrix((data, (rows, cols)), shape=(n, n))
-            _, labels = connected_components(graph, directed=True,
-                                             connection="strong")
-            self._green[kind] = _renumber(labels)
+            table = self.table if kind == "R" else self.table.T
+            ideal = np.zeros((n, n), dtype=bool)
+            ideal[np.arange(n)[:, None], table] = True
+            ideal[np.arange(n), np.arange(n)] = True
+            class_of, count = group_rows(ideal)
+            self._green[kind] = (_frozen(class_of), count)
         return self._green[kind]
 
-    def subsets_product(self, xs, ys):
-        """Setwise product of two element index arrays, sorted and deduped."""
-        sub = self.table[np.ix_(np.asarray(xs), np.asarray(ys))]
-        return np.unique(sub)
+
+def _frozen(a):
+    """``a``, marked read-only so that cached arrays can be shared."""
+    a.flags.writeable = False
+    return a
+
+
+def group_rows(bits):
+    """Ids of identical rows of a boolean matrix, by first occurrence.
+
+    Returns ``(ids, count)``.  Hashing packed rows beats lexicographic row
+    sorting.
+    """
+    packed = np.packbits(bits, axis=1)
+    ids = np.empty(bits.shape[0], dtype=np.int64)
+    seen = {}
+    for i, row in enumerate(packed):
+        ids[i] = seen.setdefault(row.tobytes(), len(seen))
+    return ids, len(seen)
 
 
 def cayley_bfs(rc, generators):
@@ -209,18 +230,6 @@ def _fill_table(rc, generators, order, parent, parent_gen):
         if p >= 0:
             table[:, t] = rc[table[:, p], parent_gen[t]]
     return table
-
-
-def _renumber(labels):
-    """Renumber labels by first occurrence; returns (labels, count)."""
-    labels = np.asarray(labels)
-    out = np.empty_like(labels)
-    mapping = {}
-    for i, lab in enumerate(labels.tolist()):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out, len(mapping)
 
 
 def close_generators(values: Sequence, multiply: Callable, *, key=None,

@@ -17,7 +17,11 @@ import numpy as np
 from .conjugacy import close_under_conjugation, is_conjugation_closed
 from .errors import NotClosed
 from .morphism import Morphism, PairSet, Recognizer
-from .semigroup import Semigroup, cayley_bfs, close_generators
+from .semigroup import (Semigroup, cayley_bfs, close_generators,
+                        group_rows)
+
+
+_GATHER_ENTRIES = 1 << 22
 
 
 def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
@@ -27,14 +31,14 @@ def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
         raise NotClosed("accepting set is not closed under conjugation")
     sg = morphism.semigroup
     n = sg.size
-    table = sg.table
-    pbits = accepting.bits
-    q = np.zeros((n, n), dtype=bool)
-    fpow = np.fromiter((sg.idempotent_power(t) for t in range(n)),
-                       dtype=np.int32, count=n)
-    for t in range(n):
-        f = int(fpow[t])
-        q[:, t] = pbits[table[:, f], f]
+    fpow, _ = sg.idempotent_powers
+    q = np.empty((n, n), dtype=bool)
+    # Q[:, t] = P[table[:, f], f] with f = fpow[t], gathered in column blocks
+    # so that the int32 index array stays small next to Q itself
+    step = max(1, _GATHER_ENTRIES // n)
+    for lo in range(0, n, step):
+        f = fpow[lo:lo + step]
+        q[:, lo:lo + step] = accepting.bits[sg.table[:, f], f]
     return PairSet(q)
 
 
@@ -145,23 +149,12 @@ class SyntacticResult:
     n_initial_classes: int
 
 
-def _group_rows(bits: np.ndarray) -> np.ndarray:
-    """Ids of identical rows; hashing beats lexicographic row sorting."""
-    packed = np.packbits(bits, axis=1)
-    ids = np.empty(bits.shape[0], dtype=np.int64)
-    seen = {}
-    for i, row in enumerate(packed):
-        ids[i] = seen.setdefault(row.tobytes(), len(seen))
-    return ids
-
-
 def initial_partition(q: PairSet):
     """Class ids of the row/column-signature relation of Q (vectorized)."""
     bits = q.bits
-    row_ids = _group_rows(bits)
-    col_ids = _group_rows(np.ascontiguousarray(bits.T))
-    _, class_of = np.unique(row_ids * (col_ids.max() + 1) + col_ids,
-                            return_inverse=True)
+    row_ids, _ = group_rows(bits)
+    col_ids, n_cols = group_rows(np.ascontiguousarray(bits.T))
+    _, class_of = np.unique(row_ids * n_cols + col_ids, return_inverse=True)
     return class_of
 
 

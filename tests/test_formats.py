@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from omegasem import (BuchiAutomaton, ParseError, Recognizer, cli_dispatch,
-                      load_recognizer, save_recognizer)
+from omegasem import (BuchiAutomaton, PairSet, ParseError, Recognizer,
+                      buchi_to_strong, cli_dispatch, is_empty,
+                      load_recognizer, morphism_to_buchi, save_recognizer)
 from omegasem.formats import (CAP_ENV_VAR, closure_cap, dumps_buchi,
                               dumps_lettermap, dumps_recognizer, loads_buchi,
                               loads_lettermap, loads_recognizer)
@@ -181,12 +182,16 @@ def same_buchi(a: BuchiAutomaton, b: BuchiAutomaton) -> bool:
 
 
 def test_buchi_roundtrip(rng):
-    for _ in range(50):
-        aut = random_buchi(rng)
+    # the trimmed automaton of an empty language has no states
+    empty = morphism_to_buchi(
+        Recognizer(section5_morphism(), PairSet.empty(4), "weak"))
+    for aut in [empty] + [random_buchi(rng) for _ in range(50)]:
         text = dumps_buchi(aut)
         back = loads_buchi(text)
         assert same_buchi(aut, back)
         assert dumps_buchi(back) == text
+    assert empty.n_states == 0
+    assert is_empty(buchi_to_strong(loads_buchi(dumps_buchi(empty))))
 
 
 def test_buchi_errors():
@@ -200,6 +205,8 @@ def test_buchi_errors():
         loads_buchi(good + "0 z 0\n")  # unknown letter
     with pytest.raises(ParseError):
         loads_buchi(good.replace("trans:", "arrows:"))
+    with pytest.raises(ParseError, match="negative"):
+        loads_buchi(good.replace("states: %d" % aut.n_states, "states: -1"))
 
 
 # -- letter-map files ----------------------------------------------------------

@@ -2,8 +2,14 @@
 
 import ast
 import pathlib
+import re
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "omegasem"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "omegasem"
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 
 def unused_imports(source):
@@ -38,3 +44,41 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8")):
             found.append("%s:%d: %s" % (path.name, line, name))
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def third_party_imports(source):
+    """Top-level modules a module imports from outside the standard library
+    and ``RUNTIME_DEPENDENCIES`` (relative imports exempt)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - RUNTIME_DEPENDENCIES)
+
+
+def test_third_party_import_detector():
+    source = ("from __future__ import annotations\n"
+              "import os.path, yaml.loader\n"
+              "import numpy as np\n"
+              "from networkx.algorithms import dag\n"
+              "from .errors import ParseError\n")
+    assert third_party_imports(source) == ["networkx", "yaml"]
+
+
+def test_imports_only_declared_dependencies():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for name in third_party_imports(path.read_text(encoding="utf-8")):
+            found.append("%s: %s" % (path.name, name))
+    assert not found, "undeclared imports:\n" + "\n".join(found)
+
+
+def test_pyproject_declares_only_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+             for dep in deps}
+    assert names == RUNTIME_DEPENDENCIES

@@ -41,6 +41,9 @@ def test_linked_pairs_definition(rng):
                     for e in range(sg.size) if sg.mul(e, e) == e
                     for s in range(sg.size) if sg.mul(s, e) == s}
         assert set(lp.pairs()) == expected
+        assert linked_pairs(sg).bits is sg.linked is lp.bits
+        with pytest.raises(ValueError):
+            lp.bits[0, 0] = not lp.bits[0, 0]
 
 
 def test_pairset_algebra():

@@ -18,9 +18,9 @@ def test_cyclic_group_basics():
     assert sg.mul(4, 5) == 3
     # the only idempotent of a group is the identity
     assert list(np.nonzero(sg.idempotents)[0]) == [0]
-    assert sg.idempotent_power(1) == 0
-    e, m = sg.idempotent_power_exponent(2)
-    assert e == 0 and (2 * m) % 6 == 0
+    e, m = sg.idempotent_powers
+    assert list(e) == [0] * 6
+    assert list(m) == [1, 6, 3, 2, 3, 6]
 
 
 def test_word_of_reconstructs_elements():
@@ -88,6 +88,39 @@ def test_green_classes_of_group_are_trivial():
     assert nr == 1 and nl == 1
 
 
+def brute_force_green(sg, kind):
+    """Classes by the definition over S^1, numbered by first occurrence.
+
+    s R t iff s x = t and t y = s for some x, y in S^1; s L t iff x s = t and
+    y t = s.
+    """
+    n = sg.size
+    table = MonoidView(sg).table
+    if kind == "L":
+        table = table.T
+    reach = [set(table[s].tolist()) for s in range(n)]
+    class_of = []
+    firsts = []
+    for s in range(n):
+        for cid, t in enumerate(firsts):
+            if t in reach[s] and s in reach[t]:
+                class_of.append(cid)
+                break
+        else:
+            class_of.append(len(firsts))
+            firsts.append(s)
+    return class_of, len(firsts)
+
+
+def test_green_classes_match_definition(rng):
+    for _ in range(20):
+        sg = random_transformation_morphism(rng, max_size=60).semigroup
+        for kind in ("R", "L"):
+            class_of, count = sg.green_classes(kind)
+            assert (list(class_of), count) == brute_force_green(sg, kind)
+            assert sg.green_classes(kind)[0] is class_of
+
+
 def test_monoid_view_identity():
     sg = z_mod(3)
     m = MonoidView(sg)
@@ -105,12 +138,12 @@ def test_idempotent_power_is_idempotent_everywhere(rng):
     for _ in range(20):
         h = random_transformation_morphism(rng, max_size=100)
         sg = h.semigroup
+        e, m = sg.idempotent_powers
         for s in range(sg.size):
-            e = sg.idempotent_power(s)
-            assert sg.mul(e, e) == e
-
-
-def test_subsets_product():
-    sg = z_mod(6)
-    out = sg.subsets_product([1, 2], [0, 3])
-    assert list(out) == [1, 2, 4, 5]
+            assert sg.mul(e[s], e[s]) == e[s]
+            # walk the powers s, s^2, ... up to the first idempotent one
+            p, k = s, 1
+            while sg.mul(p, p) != p:
+                p, k = sg.mul(p, s), k + 1
+            assert (e[s], m[s]) == (p, k)
+        assert sg.idempotent_powers is sg.idempotent_powers
