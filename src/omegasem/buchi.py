@@ -17,7 +17,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .conjugacy import close_under_conjugation
 from .errors import AlphabetMismatch
+from .inclusion import inclusion_test
 from .morphism import Morphism, PairSet, Recognizer, UPWord, linked_pairs
 from .semigroup import MonoidView, close_generators
 
@@ -199,7 +201,15 @@ def buchi_accepts_lasso(aut: BuchiAutomaton, word: UPWord) -> bool:
 
 
 def weak_to_strong(rec: Recognizer) -> Recognizer:
-    """Convert any recognizer to a strong one for the same language."""
+    """A strong recognizer of the same language: the one weak -> strong path.
+
+    Strong input is returned as is.  A weak P keeps its morphism, closed
+    under conjugation, when the closure adds no words; otherwise it takes
+    the Büchi automaton round trip.
+    """
     if rec.mode == "strong":
         return rec
+    closed = close_under_conjugation(rec.morphism, rec.accepting)
+    if inclusion_test(rec.morphism, closed, rec.accepting).included:
+        return Recognizer(rec.morphism, closed, "strong")
     return buchi_to_strong(morphism_to_buchi(rec))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (and for true answers), 1 for false answers (a
 witness word is printed on stdout), 2 for usage errors, 3 for data errors
-(unreadable or malformed input files).
+(unreadable or malformed input files), 4 for internal errors (any other
+exception, reported as ``internal error: <type>: <message>``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_INTERNAL = 4
 
 
 def _stats_line(rec: Recognizer) -> str:
@@ -157,9 +159,7 @@ def cmd_gen_adversarial(args):
 
 
 def cmd_mso_compile(args):
-    with open(args.formula, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    rec = mso.compile_formula(text, audit=args.audit)
+    rec = mso.compile_formula(formats._read(args.formula), audit=args.audit)
     if args.stats:
         print(_stats_line(rec))
     if args.emit is not None:
@@ -323,6 +323,10 @@ def cli_dispatch(argv=None) -> int:
     except (OmegasemError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main():

@@ -20,7 +20,8 @@ from typing import List, Optional, TextIO, Union
 import numpy as np
 
 from .buchi import BuchiAutomaton
-from .errors import OmegasemError, ParseError
+from .conjugacy import is_conjugation_closed
+from .errors import NotClosed, OmegasemError, ParseError
 from .langops import LetterMap
 from .morphism import Morphism, PairSet, Recognizer
 from .semigroup import DEFAULT_CAP, Semigroup
@@ -206,7 +207,11 @@ def loads_recognizer(text: str, *, audit_bound: Optional[int] = None) -> Recogni
             sg = Semigroup.from_right_cayley(rows, generators, **kwargs)
         else:
             sg = Semigroup(rows, generators, **kwargs)
-        return Recognizer(Morphism(alphabet, sg, images), accepting, mode)
+        rec = Recognizer(Morphism(alphabet, sg, images), accepting, mode)
+        if mode == "strong" and not is_conjugation_closed(rec.morphism,
+                                                          accepting):
+            raise NotClosed("strong accepting set is not conjugation-closed")
+        return rec
     except (ValueError, OmegasemError) as exc:
         raise ParseError(str(exc))
 
@@ -311,10 +316,13 @@ def loads_lettermap(text: str) -> LetterMap:
 
 
 def _read(path_or_file: Union[str, TextIO]) -> str:
-    if hasattr(path_or_file, "read"):
-        return path_or_file.read()
-    with open(path_or_file, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if hasattr(path_or_file, "read"):
+            return path_or_file.read()
+        with open(path_or_file, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not UTF-8 text: %s" % exc)
 
 
 def _write(text: str, path_or_file: Union[str, TextIO]):

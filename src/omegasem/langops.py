@@ -1,8 +1,9 @@
 """Boolean operations and alphabet maps on recognized languages.
 
-All operations work on strong recognizers (weak inputs are upgraded first)
-and return minimized strong recognizers.  Complementation flips the maximal
-accepting pair set; union and intersection go through a product morphism.
+All operations work on strong, that is conjugation-closed, recognizers
+(``weak_to_strong`` upgrades weak inputs) and return minimized strong
+recognizers.  Complementation flips the maximal accepting pair set; union
+and intersection go through a product morphism.
 """
 
 from __future__ import annotations
@@ -12,22 +13,17 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .buchi import weak_to_strong
 from .errors import AlphabetMismatch, UnknownLetter
+from .inclusion import included, inclusion_test
 from .morphism import Morphism, PairSet, Recognizer, linked_pairs
 from .semigroup import close_generators
 from .syntactic import maximal_pair_set, minimize
 
 
-def _strong(rec: Recognizer) -> Recognizer:
-    if rec.mode == "strong":
-        return rec
-    from .buchi import weak_to_strong
-    return weak_to_strong(rec)
-
-
 def complement(rec: Recognizer, *, audit=False) -> Recognizer:
     """A minimized recognizer of the complement language."""
-    rec = _strong(rec)
+    rec = weak_to_strong(rec)
     full = maximal_pair_set(rec.morphism, rec.accepting)
     lp = linked_pairs(rec.morphism.semigroup)
     comp = Recognizer(rec.morphism, lp - full, "strong")
@@ -56,7 +52,7 @@ def _transport(r1: Recognizer, r2: Recognizer):
     Returns ``(h, p1, p2)``: the product morphism and the linked pairs of
     ``h`` whose components lie in each operand's maximal pair set.
     """
-    r1, r2 = _strong(r1), _strong(r2)
+    r1, r2 = weak_to_strong(r1), weak_to_strong(r2)
     h, elements = _product(r1, r2)
     f1 = maximal_pair_set(r1.morphism, r1.accepting)
     f2 = maximal_pair_set(r2.morphism, r2.accepting)
@@ -73,7 +69,6 @@ def language_included(r1: Recognizer, r2: Recognizer):
     Unlike ``included`` the two recognizers may use different morphisms:
     both accepting sets are transported onto the product morphism first.
     """
-    from .inclusion import included, inclusion_test
     if r1.morphism.same_as(r2.morphism):
         return included(r1, r2)
     return inclusion_test(*_transport(r1, r2))
@@ -133,7 +128,7 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
     pair of subsets (X, E) is accepting iff some accepting pair (t, f) of
     the original recognizer has t in X and f in E.
     """
-    rec = _strong(rec)
+    rec = weak_to_strong(rec)
     if lmap.source != rec.morphism.alphabet:
         raise AlphabetMismatch("letter map source does not match recognizer")
     h = rec.morphism
@@ -170,7 +165,7 @@ def inverse_project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recogni
     The morphism just composes the letter map with the original images, so
     preimages need no automaton detour.
     """
-    rec = _strong(rec)
+    rec = weak_to_strong(rec)
     if lmap.target != rec.morphism.alphabet:
         raise AlphabetMismatch("letter map target does not match recognizer")
     h = rec.morphism

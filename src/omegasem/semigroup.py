@@ -159,7 +159,7 @@ class Semigroup:
             ideal = np.zeros((n, n), dtype=bool)
             ideal[np.arange(n)[:, None], table] = True
             ideal[np.arange(n), np.arange(n)] = True
-            class_of, count = group_rows(ideal)
+            class_of, count = group_rows(np.packbits(ideal, axis=1))
             self._green[kind] = (_frozen(class_of), count)
         return self._green[kind]
 
@@ -170,14 +170,12 @@ def _frozen(a):
     return a
 
 
-def group_rows(bits):
-    """Ids of identical rows of a boolean matrix, by first occurrence.
-
-    Returns ``(ids, count)``.  Hashing packed rows beats lexicographic row
-    sorting.
+def group_rows(packed):
+    """Ids of identical rows of a bit matrix packed to bytes, by first
+    occurrence.  Returns ``(ids, count)``.  Hashing packed rows beats
+    lexicographic row sorting.
     """
-    packed = np.packbits(bits, axis=1)
-    ids = np.empty(bits.shape[0], dtype=np.int64)
+    ids = np.empty(packed.shape[0], dtype=np.int64)
     seen = {}
     for i, row in enumerate(packed):
         ids[i] = seen.setdefault(row.tobytes(), len(seen))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugacy import close_under_conjugation, is_conjugation_closed
+from .buchi import weak_to_strong
+from .conjugacy import is_conjugation_closed
 from .errors import NotClosed
 from .morphism import Morphism, PairSet, Recognizer
 from .semigroup import (Semigroup, cayley_bfs, close_generators,
@@ -152,8 +153,9 @@ class SyntacticResult:
 def initial_partition(q: PairSet):
     """Class ids of the row/column-signature relation of Q (vectorized)."""
     bits = q.bits
-    row_ids, _ = group_rows(bits)
-    col_ids, n_cols = group_rows(np.ascontiguousarray(bits.T))
+    row_ids, _ = group_rows(np.packbits(bits, axis=1))
+    # columns packed in place: no |S|^2 copy of the transpose
+    col_ids, n_cols = group_rows(np.packbits(bits, axis=0).T)
     _, class_of = np.unique(row_ids * n_cols + col_ids, return_inverse=True)
     return class_of
 
@@ -161,16 +163,14 @@ def initial_partition(q: PairSet):
 def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     """Minimize a recognizer onto the syntactic morphism of [P].
 
-    Weak-mode input is first closed under conjugation, which preserves [P]
-    only when P strongly recognizes [P]; callers minimizing weak recognizers
-    must know the closure is language-preserving (as in this library's
-    pipeline, where every constructed accepting set is conjugation-closed).
+    P must be conjugation-closed, as for ``maximal_pair_set``: strong
+    recognizers are, and ``minimize`` upgrades weak ones first.  With
+    ``audit`` a non-closed P raises ``NotClosed``.
     """
     morphism = rec.morphism
     sg = morphism.semigroup
     n = sg.size
-    closed = close_under_conjugation(morphism, rec.accepting)
-    q = maximal_pair_set(morphism, closed)
+    q = maximal_pair_set(morphism, rec.accepting, audit=audit)
     initial = initial_partition(q)
     part = RefinablePartition(initial)
     part.split_work = 0  # count only while-loop work
@@ -214,7 +214,7 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     rep_arr = np.fromiter((reps[cid] for cid in old_ids), dtype=np.int64,
                           count=m)
     tmp_images = [int(tmp_of[x]) for x in morphism.images]
-    tmp_gens = _dedup(tmp_images)
+    tmp_gens = list(dict.fromkeys(tmp_images))
     tmp_rc = tmp_of[table[np.ix_(rep_arr, rep_arr[tmp_gens])]]
     order, _, _ = cayley_bfs(tmp_rc, tmp_gens)
     if len(order) != m:
@@ -227,7 +227,7 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     new_morphism = Morphism(morphism.alphabet, quotient, new_images)
     projection = renum[tmp_of].astype(np.int64)
     new_bits = np.zeros((m, m), dtype=bool)
-    rows, cols = np.nonzero(closed.bits)
+    rows, cols = np.nonzero(rec.accepting.bits)
     new_bits[projection[rows], projection[cols]] = True
     accepting = PairSet(new_bits)
     if audit:
@@ -243,28 +243,10 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
                            int(initial.max()) + 1)
 
 
-def _dedup(xs):
-    out = []
-    for x in xs:
-        if x not in out:
-            out.append(x)
-    return out
-
-
 def minimize(rec: Recognizer, *, audit=False) -> Recognizer:
-    """The syntactic recognizer of [P]; always language-preserving.
-
-    A weak accepting set that does not strongly recognize its language is
-    first re-recognized strongly (via the automaton round trip), since the
-    conjugation closure inside ``syntactic_morphism`` would otherwise grow
-    the language.
-    """
-    if rec.mode == "weak":
-        from .inclusion import is_strong
-        if not is_strong(rec.morphism, rec.accepting).included:
-            from .buchi import weak_to_strong
-            rec = weak_to_strong(rec)
-    return syntactic_morphism(rec, audit=audit).recognizer
+    """The syntactic recognizer of [P]; language-preserving, because weak
+    input is made strong (conjugation-closed) by ``weak_to_strong`` first."""
+    return syntactic_morphism(weak_to_strong(rec), audit=audit).recognizer
 
 
 # -- adversarial fixture ------------------------------------------------------

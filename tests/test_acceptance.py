@@ -17,10 +17,10 @@ from omegasem import (PairSet, Recognizer, buchi_to_strong, conjugacy_classes,
                       language_included, member, morphism_to_buchi)
 from omegasem.buchi import buchi_accepts_lasso
 from omegasem.cli import table1_lines
+from omegasem.conjugacy import close_under_conjugation
 from omegasem.mso import chi_formula, phi_formula, psi_formula
 from omegasem.semigroup import MonoidView, close_generators
-from omegasem.syntactic import (_t_multiply, adversarial_fixture,
-                                close_under_conjugation, minimize,
+from omegasem.syntactic import (_t_multiply, adversarial_fixture, minimize,
                                 syntactic_morphism, t_semigroup_values)
 
 from conftest import (brute_force_conjugacy, random_pair_set,

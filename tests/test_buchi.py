@@ -4,6 +4,7 @@ from omegasem import (BuchiAutomaton, PairSet, Recognizer, UPWord,
                       buchi_accepts_lasso, buchi_to_strong,
                       is_conjugation_closed, is_strong, member, minimize,
                       morphism_to_buchi, weak_to_strong)
+from omegasem.formats import dumps_recognizer
 
 from conftest import random_recognizer, random_upword, section5_morphism
 
@@ -76,9 +77,16 @@ def test_weak_to_strong_preserves_language(rng):
         rec = random_recognizer(rng, max_size=6)
         strong = weak_to_strong(rec)
         assert strong.mode == "strong"
+        assert is_conjugation_closed(strong.morphism, strong.accepting)
+        if is_strong(rec.morphism, rec.accepting).included:
+            assert strong.morphism is rec.morphism
         for _ in range(40):
             w = random_upword(rng, rec.alphabet)
             assert member(strong, w) == member(rec, w), str(w)
+        # both upgrade routes minimize to the same canonical recognizer
+        round_trip = buchi_to_strong(morphism_to_buchi(rec))
+        assert (dumps_recognizer(minimize(rec))
+                == dumps_recognizer(minimize(round_trip)))
 
 
 def test_band_language_via_buchi():

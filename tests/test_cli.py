@@ -42,6 +42,15 @@ def test_exit_codes_for_usage_and_data_errors(run, tmp_path):
     bad.write_text("recognizer v1\nmode: maybe\n")
     code, _, err = run("check-strong", str(bad))
     assert code == 3 and "mode" in err
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\xff\xfe\x00recognizer")
+    for argv in (("minimize", str(binary)), ("mso", "compile", str(binary))):
+        code, _, err = run(*argv)
+        assert code == 3 and "UTF-8" in err
+    deep = tmp_path / "deep.mso"
+    deep.write_text("!" * 5000 + "X")
+    code, _, err = run("mso", "compile", str(deep))
+    assert code == 4 and "internal error: RecursionError" in err
 
 
 def test_check_strong_verdicts(run, tmp_path, band_files):

@@ -69,6 +69,23 @@ def test_generated_table_with_unreachable_element(tmp_path):
     assert cli_dispatch(["minimize", str(path)]) == 3
 
 
+def test_strong_file_must_be_conjugation_closed(tmp_path):
+    # (0, 0) is conjugate to (1, 0) in the band, so {(0, 0)} is not closed
+    h = section5_morphism()
+    band = PairSet.from_pairs(4, [(0, 0)])
+    strong = dumps_recognizer(Recognizer(h, band, "strong"))
+    with pytest.raises(ParseError, match="conjugation-closed"):
+        loads_recognizer(strong)
+    path = tmp_path / "band.txt"
+    path.write_text(strong)
+    assert cli_dispatch(["minimize", str(path)]) == 3
+    weak = strong.replace("mode: strong", "mode: weak")
+    assert loads_recognizer(weak).accepting == band
+    path.write_text(weak)
+    assert cli_dispatch(["minimize", "-o", str(tmp_path / "min.txt"),
+                         str(path)]) == 0
+
+
 def test_comments_and_blank_lines_are_ignored():
     rec = random_recognizer(random.Random(3))
     text = dumps_recognizer(rec)

@@ -46,6 +46,37 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def function_imports(source):
+    """``(line, function)`` for each import statement inside a function."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((node.lineno, fn.name))
+    return sorted(set(found))
+
+
+def test_function_import_detector():
+    source = ("import os\n"
+              "def f():\n"
+              "    from .x import y\n"
+              "    return y\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        def h():\n"
+              "            import sys\n")
+    assert function_imports(source) == [(3, "f"), (8, "g"), (8, "h")]
+
+
+def test_no_imports_inside_functions():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, name in function_imports(path.read_text(encoding="utf-8")):
+            found.append("%s:%d: in %s" % (path.name, line, name))
+    assert not found, "imports inside functions:\n" + "\n".join(found)
+
+
 def third_party_imports(source):
     """Top-level modules a module imports from outside the standard library
     and ``RUNTIME_DEPENDENCIES`` (relative imports exempt)."""

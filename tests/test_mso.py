@@ -169,6 +169,12 @@ def test_table_row_shape():
     assert all(len(v) == 3 for v in row.values())
 
 
+def test_table_row_audit_finds_every_set_closed():
+    # the audit raises NotClosed wherever minimization meets a non-closed P
+    for k in (2, 3):
+        assert table_row(k, audit=True) == table_row(k)
+
+
 def test_sample_models_are_members():
     rec = compile_formula(phi_formula(2))
     models = sample_models(rec, 5)

@@ -2,8 +2,9 @@ import math
 import random
 
 import numpy as np
+import pytest
 
-from omegasem import (PairSet, Recognizer, adversarial_fixture,
+from omegasem import (NotClosed, PairSet, Recognizer, adversarial_fixture,
                       close_under_conjugation, conjugacy_classes,
                       is_conjugation_closed, is_strong, linked_pairs,
                       maximal_pair_set, member, minimize, syntactic_morphism,
@@ -97,6 +98,15 @@ def test_minimize_universal_and_empty():
     bottom = minimize(Recognizer(h, PairSet.empty(4), "weak"))
     assert bottom.morphism.semigroup.size == 1
     assert len(bottom.accepting) == 0
+
+
+def test_audit_rejects_non_closed_strong_input():
+    h = section5_morphism()
+    band = Recognizer(h, PairSet.from_pairs(4, [(0, 0)]), "strong")
+    with pytest.raises(NotClosed):
+        syntactic_morphism(band, audit=True)
+    closed = strongify(band)
+    assert syntactic_morphism(closed, audit=True).recognizer.accepting
 
 
 def test_split_work_bound(rng):
