@@ -12,7 +12,6 @@ from .errors import (
     AlphabetMismatch,
     ClosureCapExceeded,
     EmptyPeriod,
-    MorphismMismatch,
     MsoSyntaxError,
     NonAssociative,
     NotClosed,
@@ -42,8 +41,6 @@ from .conjugacy import (
 )
 from .inclusion import (
     InclusionResult,
-    equivalent,
-    included,
     inclusion_test,
     is_strong,
     universal,
@@ -91,7 +88,7 @@ from .cli import cli_dispatch
 
 __all__ = [
     "AlphabetMismatch", "ClosureCapExceeded", "EmptyPeriod",
-    "MorphismMismatch", "MsoSyntaxError", "NonAssociative", "NotClosed",
+    "MsoSyntaxError", "NonAssociative", "NotClosed",
     "NotLinkedPair", "OmegasemError", "ParseError",
     "UnknownLetter", "UnknownVariable",
     "MonoidView", "Semigroup", "close_generators",
@@ -99,8 +96,7 @@ __all__ = [
     "linked_pairs", "member", "universal_recognizer",
     "ConjugacyResult", "UnionFind", "close_under_conjugation",
     "conjugacy_classes", "is_conjugation_closed",
-    "InclusionResult", "equivalent", "included", "inclusion_test",
-    "is_strong", "universal",
+    "InclusionResult", "inclusion_test", "is_strong", "universal",
     "SyntacticResult", "adversarial_fixture", "maximal_pair_set",
     "minimize", "syntactic_morphism",
     "BuchiAutomaton", "buchi_accepts_lasso", "buchi_to_strong",

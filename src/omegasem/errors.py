@@ -29,10 +29,6 @@ class NotClosed(OmegasemError):
     """Raised when a pair set that must be conjugation-closed is not."""
 
 
-class MorphismMismatch(OmegasemError):
-    """Raised when two recognizers over different morphisms are combined."""
-
-
 class AlphabetMismatch(OmegasemError):
     """Raised when alphabets that must agree do not."""
 

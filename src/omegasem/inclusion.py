@@ -4,7 +4,8 @@ The search runs over triples (s, x, y) in S x S^1 x S^1, starting from
 (s, e, 1) for (s, e) in P and peeling letters off x from the right.  If a
 triple (s, 1, y) is reached whose Q-check failed along the way, the word
 u v^omega with u in h^-1(s) and v read off the parent chain witnesses
-non-inclusion.  At most |S| (|S|+1)^2 triples are ever visited.
+non-inclusion.  At most |S| (|S|+1)^2 triples are ever visited; the
+visited set holds only those reached.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .conjugacy import close_under_conjugation
 from .errors import NotLinkedPair
-from .morphism import (Morphism, PairSet, Recognizer, UPWord,
-                       check_same_morphism, linked_pairs)
-from .semigroup import MonoidView
+from .morphism import Morphism, PairSet, Recognizer, UPWord, linked_pairs
+from .semigroup import MonoidView, preimages
 
 
 @dataclass
@@ -31,27 +29,6 @@ class InclusionResult:
         return self.included
 
 
-class RightDivisorIndex:
-    """For each letter a and element x in S^1, the set x a^-1 in S^1.
-
-    x a^-1 = { p : p h(a) = x }, where the identity contributes h(a) a^-1
-    containing 1.
-    """
-
-    def __init__(self, morphism: Morphism):
-        sg = morphism.semigroup
-        n = sg.size
-        self.one = n
-        self.by_letter = []
-        for x in morphism.images:
-            divs = [[] for _ in range(n + 1)]
-            col = sg.table[:, x]
-            for p in range(n):
-                divs[int(col[p])].append(p)
-            divs[x].append(self.one)
-            self.by_letter.append(divs)
-
-
 def inclusion_test(morphism: Morphism, p_set: PairSet,
                    q_set: PairSet) -> InclusionResult:
     """Decide [P] subseteq [Q]; on failure produce a witness word."""
@@ -62,17 +39,16 @@ def inclusion_test(morphism: Morphism, p_set: PairSet,
     for ps in (p_set, q_set):
         if not ps.issubset(lp):
             raise NotLinkedPair("pair set contains a non-linked pair")
-    mul = MonoidView(sg).mul
+    monoid = MonoidView(sg)
+    mul = monoid.mul
     qbits = q_set.bits
-    seen = np.zeros((n, n + 1, n + 1), dtype=bool)
-    divisors = RightDivisorIndex(morphism)
-    images = morphism.images
-    letters = morphism.alphabet
+    # x a^-1 = {p in S^1 : p h(a) = x}; the identity lands last in h(a) a^-1
+    letters = [(a, ha, preimages(monoid.table[:, ha], n + 1))
+               for a, ha in zip(morphism.alphabet, morphism.images)]
     stack = []
-    parent = {}  # (s, x, y) -> (letter, successor triple) for the v-word
+    parent = {}  # visited (s, x, y) -> (letter, successor) for the v-word
     for (s, e) in p_set.pairs():
-        if not seen[s, e, one]:
-            seen[s, e, one] = True
+        if (s, e, one) not in parent:
             stack.append((s, e, one))
             parent[(s, e, one)] = None
     visited = 0
@@ -96,13 +72,11 @@ def inclusion_test(morphism: Morphism, p_set: PairSet,
         # probes where y = 1 and yxyx = x = e
         if sx != one and yxyx != one and qbits[sx, yxyx]:
             continue
-        for ai, a in enumerate(letters):
-            ha = images[ai]
+        for a, ha, (order, start) in letters:
             hay = mul(ha, y)
-            for p in divisors.by_letter[ai][x]:
-                if not seen[s, p, hay]:
-                    seen[s, p, hay] = True
-                    triple = (s, p, hay)
+            for p in order[start[x]:start[x + 1]]:
+                triple = (s, p, hay)
+                if triple not in parent:
                     parent[triple] = (a, (s, mul(p, ha), y))
                     stack.append(triple)
     return InclusionResult(True, None, visited)
@@ -112,23 +86,6 @@ def is_strong(morphism: Morphism, accepting: PairSet) -> InclusionResult:
     """P strongly recognizes [P] iff [closure(P)] subseteq [P]."""
     closed = close_under_conjugation(morphism, accepting)
     return inclusion_test(morphism, closed, accepting)
-
-
-def included(r1: Recognizer, r2: Recognizer) -> InclusionResult:
-    check_same_morphism(r1, r2)
-    return inclusion_test(r1.morphism, r1.accepting, r2.accepting)
-
-
-def equivalent(r1: Recognizer, r2: Recognizer):
-    """Decide [P] = [Q]; returns (equal, witness in the difference or None)."""
-    check_same_morphism(r1, r2)
-    fwd = included(r1, r2)
-    if not fwd.included:
-        return False, fwd.witness
-    bwd = included(r2, r1)
-    if not bwd.included:
-        return False, bwd.witness
-    return True, None
 
 
 def universal(rec: Recognizer) -> InclusionResult:

@@ -2,8 +2,10 @@
 
 All operations work on strong, that is conjugation-closed, recognizers
 (``weak_to_strong`` upgrades weak inputs) and return minimized strong
-recognizers.  Complementation flips the maximal accepting pair set; union
-and intersection go through a product morphism.
+recognizers.  On the linked pairs a closed P equals its maximal pair set,
+so the operations read the accepting sets themselves: complementation takes
+the linked pairs outside P, and union and intersection pull both sets back
+onto a product morphism.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ import numpy as np
 
 from .buchi import weak_to_strong
 from .errors import AlphabetMismatch, UnknownLetter
-from .inclusion import included, inclusion_test
+from .inclusion import inclusion_test
 from .morphism import Morphism, PairSet, Recognizer, linked_pairs
 from .semigroup import close_generators
-from .syntactic import maximal_pair_set, minimize
+from .syntactic import minimize
 
 
 def complement(rec: Recognizer, *, audit=False) -> Recognizer:
     """A minimized recognizer of the complement language."""
     rec = weak_to_strong(rec)
-    full = maximal_pair_set(rec.morphism, rec.accepting)
     lp = linked_pairs(rec.morphism.semigroup)
-    comp = Recognizer(rec.morphism, lp - full, "strong")
+    comp = Recognizer(rec.morphism, lp - rec.accepting, "strong")
     return minimize(comp, audit=audit)
 
 
@@ -47,30 +48,30 @@ def _product(r1: Recognizer, r2: Recognizer):
 
 
 def _transport(r1: Recognizer, r2: Recognizer):
-    """Both maximal pair sets pulled back onto the product morphism.
+    """Both accepting sets, made strong, pulled back onto the product.
 
     Returns ``(h, p1, p2)``: the product morphism and the linked pairs of
-    ``h`` whose components lie in each operand's maximal pair set.
+    ``h`` whose components lie in each operand's closed accepting set.  The
+    projections map linked pairs to linked pairs, so the pull-back of a
+    closed P recognizes the same language over ``h``.
     """
     r1, r2 = weak_to_strong(r1), weak_to_strong(r2)
     h, elements = _product(r1, r2)
-    f1 = maximal_pair_set(r1.morphism, r1.accepting)
-    f2 = maximal_pair_set(r2.morphism, r2.accepting)
     lp = linked_pairs(h.semigroup)
     c1, c2 = np.asarray(elements).T  # first and second components
-    p1 = PairSet(lp.bits & f1.bits[np.ix_(c1, c1)])
-    p2 = PairSet(lp.bits & f2.bits[np.ix_(c2, c2)])
+    p1 = PairSet(lp.bits & r1.accepting.bits[np.ix_(c1, c1)])
+    p2 = PairSet(lp.bits & r2.accepting.bits[np.ix_(c2, c2)])
     return h, p1, p2
 
 
 def language_included(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) subseteq L(r2) for recognizers over the same alphabet.
 
-    Unlike ``included`` the two recognizers may use different morphisms:
-    both accepting sets are transported onto the product morphism first.
+    Over one morphism the accepting sets are compared as they are;
+    otherwise both are transported onto the product morphism first.
     """
     if r1.morphism.same_as(r2.morphism):
-        return included(r1, r2)
+        return inclusion_test(r1.morphism, r1.accepting, r2.accepting)
     return inclusion_test(*_transport(r1, r2))
 
 
@@ -126,7 +127,9 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
     target letter to the set of values of its preimage letters, and only
     subsets reachable from those generators are materialized.  A linked
     pair of subsets (X, E) is accepting iff some accepting pair (t, f) of
-    the original recognizer has t in X and f in E.
+    the original recognizer has t in X and f in E.  The closed P suffices:
+    a pair (t, t') of the maximal set with t in X and t' in E gives the
+    pair (t f, f) of P, where f is the idempotent power of t', and X E = X.
     """
     rec = weak_to_strong(rec)
     if lmap.source != rec.morphism.alphabet:
@@ -147,8 +150,7 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
 
     sg, seeds, elements = close_generators(values, mul, audit_bound=0)
     new_h = Morphism(tuple(lmap.target), sg, seeds)
-    full = maximal_pair_set(h, rec.accepting)
-    pbits = full.bits
+    pbits = rec.accepting.bits
     lp = linked_pairs(sg)
     bits = np.zeros((sg.size, sg.size), dtype=bool)
     for (s, e) in lp.pairs():
@@ -178,8 +180,7 @@ def inverse_project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recogni
     sg, seeds, elements = close_generators(
         values, lambda a, b: int(table[a, b]), audit_bound=0)
     new_h = Morphism(tuple(lmap.source), sg, seeds)
-    full = maximal_pair_set(h, rec.accepting)
     el = np.asarray(elements)
-    bits = linked_pairs(sg).bits & full.bits[np.ix_(el, el)]
+    bits = linked_pairs(sg).bits & rec.accepting.bits[np.ix_(el, el)]
     out = Recognizer(new_h, PairSet(bits), "strong")
     return minimize(out, audit=audit)

@@ -12,10 +12,8 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (EmptyPeriod, MorphismMismatch, NotLinkedPair,
-                     UnknownLetter)
-from .semigroup import (DEFAULT_AUDIT_BOUND, DEFAULT_CAP, Semigroup,
-                        close_generators)
+from .errors import EmptyPeriod, NotLinkedPair, UnknownLetter
+from .semigroup import Semigroup
 
 
 @dataclass(frozen=True)
@@ -60,15 +58,6 @@ class Morphism:
         self._gen_letter = {}
         for a, s in zip(self.alphabet, self.images):
             self._gen_letter.setdefault(s, a)
-
-    @classmethod
-    def generate(cls, alphabet: Sequence[str], values: Sequence, multiply,
-                 *, key=None, cap=DEFAULT_CAP,
-                 audit_bound=DEFAULT_AUDIT_BOUND):
-        """Build a morphism by closing letter image values under a product."""
-        sg, seeds, _ = close_generators(values, multiply, key=key, cap=cap,
-                                        audit_bound=audit_bound)
-        return cls(alphabet, sg, seeds)
 
     def image(self, letter):
         i = self._letter_index.get(letter)
@@ -243,8 +232,3 @@ def member(rec: Recognizer, word: UPWord) -> bool:
         if bits[s, e]:
             return True
     return False
-
-
-def check_same_morphism(r1: Recognizer, r2: Recognizer):
-    if not r1.morphism.same_as(r2.morphism):
-        raise MorphismMismatch("recognizers use different morphisms")

@@ -14,6 +14,7 @@ it is asked for and cached on the semigroup as read-only arrays.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,9 +52,6 @@ class Semigroup:
         self.parent_gen = np.asarray(parent_gen, dtype=np.int32)
         if np.any((self.parent < 0) & ~np.isin(np.arange(n), self.generators)):
             raise ValueError("elements unreachable from generators")
-        self._idempotents = None
-        self._linked = None
-        self._idempotent_powers = None
         self._green = {}
         if n <= audit_bound:
             self._audit_associativity()
@@ -99,42 +97,35 @@ class Semigroup:
         out.reverse()
         return tuple(out)
 
-    @property
+    @cached_property
     def idempotents(self):
         """Boolean mask of idempotent elements."""
-        if self._idempotents is None:
-            n = self.size
-            self._idempotents = _frozen(
-                self.table[np.arange(n), np.arange(n)] == np.arange(n))
-        return self._idempotents
+        n = self.size
+        return _frozen(self.table[np.arange(n), np.arange(n)] == np.arange(n))
 
-    @property
+    @cached_property
     def linked(self):
         """``linked[s, e]`` iff (s, e) is linked: e * e = e and s * e = s."""
-        if self._linked is None:
-            linked = self.table == np.arange(self.size)[:, None]
-            linked &= self.idempotents
-            self._linked = _frozen(linked)
-        return self._linked
+        linked = self.table == np.arange(self.size)[:, None]
+        linked &= self.idempotents
+        return _frozen(linked)
 
-    @property
+    @cached_property
     def idempotent_powers(self):
         """``(e, m)``: ``e[s] = s^m[s]`` is idempotent, ``m[s] >= 1`` least.
 
         All elements step through their powers together; an element drops
         out as soon as its current power is idempotent.
         """
-        if self._idempotent_powers is None:
-            idem = self.idempotents
-            e = np.arange(self.size, dtype=np.int32)
-            m = np.ones(self.size, dtype=np.int64)
-            todo = np.nonzero(~idem)[0]
-            while len(todo):
-                e[todo] = self.table[e[todo], todo]
-                m[todo] += 1
-                todo = todo[~idem[e[todo]]]
-            self._idempotent_powers = (_frozen(e), _frozen(m))
-        return self._idempotent_powers
+        idem = self.idempotents
+        e = np.arange(self.size, dtype=np.int32)
+        m = np.ones(self.size, dtype=np.int64)
+        todo = np.nonzero(~idem)[0]
+        while len(todo):
+            e[todo] = self.table[e[todo], todo]
+            m[todo] += 1
+            todo = todo[~idem[e[todo]]]
+        return _frozen(e), _frozen(m)
 
     # -- Cayley graphs and Green's relations ----------------------------------
 
@@ -168,6 +159,17 @@ def _frozen(a):
     """``a``, marked read-only so that cached arrays can be shared."""
     a.flags.writeable = False
     return a
+
+
+def preimages(images, size):
+    """The preimage lists of a map into ``range(size)``, in CSR form.
+
+    Returns ``(order, start)`` as lists: the points that ``images`` maps to
+    ``t`` are ``order[start[t]:start[t + 1]]``, in increasing order.
+    """
+    images = np.asarray(images)
+    start = [0] + np.bincount(images, minlength=size).cumsum().tolist()
+    return images.argsort(kind="stable").tolist(), start
 
 
 def group_rows(packed):

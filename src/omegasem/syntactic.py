@@ -19,7 +19,7 @@ from .conjugacy import is_conjugation_closed
 from .errors import NotClosed
 from .morphism import Morphism, PairSet, Recognizer
 from .semigroup import (Semigroup, cayley_bfs, close_generators,
-                        group_rows)
+                        group_rows, preimages)
 
 
 _GATHER_ENTRIES = 1 << 22
@@ -27,7 +27,11 @@ _GATHER_ENTRIES = 1 << 22
 
 def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
                      audit=False) -> PairSet:
-    """The maximal Q in S x S with [Q] = [P]; P must be conjugation-closed."""
+    """The maximal Q in S x S with [Q] = [P]; P must be conjugation-closed.
+
+    Q agrees with P on the linked pairs, so only the rows and columns that
+    seed minimisation need the pairs of Q outside them.
+    """
     if audit and not is_conjugation_closed(morphism, accepting):
         raise NotClosed("accepting set is not closed under conjugation")
     sg = morphism.semigroup
@@ -175,44 +179,20 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     part = RefinablePartition(initial)
     part.split_work = 0  # count only while-loop work
     table = sg.table
-    images = sorted(set(morphism.images))
-    # preimage lists under right/left multiplication by each letter image
-    right_pre = []
-    left_pre = []
-    for x in images:
-        rp = [[] for _ in range(n)]
-        for s in range(n):
-            rp[int(table[s, x])].append(s)
-        right_pre.append(rp)
-        lp_ = [[] for _ in range(n)]
-        for s in range(n):
-            lp_[int(table[x, s])].append(s)
-        left_pre.append(lp_)
+    # preimage lists x h(a)^-1 and h(a)^-1 x for each letter image h(a)
+    pres = [preimages(side, n) for x in sorted(set(morphism.images))
+            for side in (table[:, x], table[x, :])]
     while part.worklist:
-        cid = part.pop()
-        members = [int(t) for t in part.members(cid)]
-        for ai in range(len(images)):
-            pre = []
-            for t in members:
-                pre.extend(right_pre[ai][t])
-            part.split(pre)
-            pre = []
-            for t in members:
-                pre.extend(left_pre[ai][t])
-            part.split(pre)
+        # a list, not the view: the splits reorder the class segments
+        members = part.members(part.pop()).tolist()
+        for order, start in pres:
+            part.split([s for t in members
+                        for s in order[start[t]:start[t + 1]]])
     # quotient under the stable partition, renumbered by BFS from the
     # letter images so that equal inputs yield identical element numbering
-    class_of = part.class_of
-    reps = {}
-    for s in range(n):
-        reps.setdefault(int(class_of[s]), s)
-    old_ids = sorted(reps)
-    tmp_index = {cid: i for i, cid in enumerate(old_ids)}
-    m = len(old_ids)
-    tmp_of = np.fromiter((tmp_index[int(class_of[s])] for s in range(n)),
-                         dtype=np.int64, count=n)
-    rep_arr = np.fromiter((reps[cid] for cid in old_ids), dtype=np.int64,
-                          count=m)
+    _, rep_arr, tmp_of = np.unique(part.class_of, return_index=True,
+                                   return_inverse=True)
+    m = len(rep_arr)
     tmp_images = [int(tmp_of[x]) for x in morphism.images]
     tmp_gens = list(dict.fromkeys(tmp_images))
     tmp_rc = tmp_of[table[np.ix_(rep_arr, rep_arr[tmp_gens])]]

@@ -113,3 +113,64 @@ def test_pyproject_declares_only_runtime_dependencies():
     names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
              for dep in deps}
     assert names == RUNTIME_DEPENDENCIES
+
+
+def definitions(source):
+    """``(line, name)`` of every function and class a module defines,
+    methods and nested definitions included (dunders exempt)."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted((node.lineno, node.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, kinds)
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__")))
+
+
+def references(source):
+    """Every name a module reads: plain names, attribute names, imported
+    names and identifier string constants (``__all__``, lookup tables)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def test_dead_definition_detector():
+    lib = ("class A:\n"
+           "    def __init__(self):\n"
+           "        self.used()\n"
+           "    def used(self):\n"
+           "        pass\n"
+           "    def dead(self):\n"
+           "        pass\n"
+           "def exported():\n"
+           "    pass\n"
+           "def lonely():\n"
+           "    def inner():\n"
+           "        pass\n"
+           "__all__ = ['exported']\n")
+    user = "from lib import A as B\n"
+    used = references(lib) | references(user)
+    assert [d for d in definitions(lib) if d[1] not in used] == [
+        (6, "dead"), (10, "lonely"), (11, "inner")]
+
+
+def test_every_definition_is_referenced():
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used |= references(path.read_text(encoding="utf-8"))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, name in definitions(path.read_text(encoding="utf-8")):
+            if name not in used:
+                found.append("%s:%d: %s" % (path.name, line, name))
+    assert not found, "definitions nothing refers to:\n" + "\n".join(found)

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
-from omegasem import (PairSet, Recognizer, UPWord, close_under_conjugation,
-                      equivalent, included, inclusion_test, is_strong,
+from omegasem import (Morphism, PairSet, Recognizer, UPWord,
+                      close_generators, close_under_conjugation,
+                      inclusion_test, is_strong, language_equivalent,
                       linked_pairs, member, universal, universal_recognizer)
 
 from conftest import (random_pair_set, random_transformation_morphism,
@@ -86,10 +88,30 @@ def test_equivalent_and_universal():
     h = section5_morphism()
     r1 = Recognizer(h, PairSet.from_pairs(4, [(0, 0)]), "weak")
     r2 = Recognizer(h, PairSet.from_pairs(4, [(1, 3)]), "weak")
-    equal, witness = equivalent(r1, r2)
+    equal, witness = language_equivalent(r1, r2)
     assert equal and witness is None
     top = universal_recognizer(h)
     assert universal(top).included
     res = universal(r1)
     assert not res.included
     assert not member(r1, res.witness)
+
+
+def test_visited_set_grows_with_the_search():
+    # Z_300 on one letter: a visited set over all of S x S^1 x S^1 would
+    # take 27 MB, while the search reaches a few hundred triples
+    n = 300
+    sg, seeds, elements = close_generators([1], lambda a, b: (a + b) % n)
+    h = Morphism(("a",), sg, seeds)
+    p = PairSet.from_pairs(n, [(seeds[0], elements.index(0))])
+    linked_pairs(sg)  # cached before tracing
+    tracemalloc.start()
+    try:
+        assert inclusion_test(h, p, p).included
+        res = inclusion_test(h, p, PairSet.empty(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not res.included
+    assert member(Recognizer(h, p, "weak"), res.witness)
+    assert peak < 4 << 20

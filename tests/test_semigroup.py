@@ -3,6 +3,7 @@ import pytest
 
 from omegasem import (ClosureCapExceeded, MonoidView, NonAssociative,
                       Semigroup, close_generators)
+from omegasem.semigroup import preimages
 
 from conftest import random_transformation_morphism
 
@@ -147,3 +148,15 @@ def test_idempotent_power_is_idempotent_everywhere(rng):
                 p, k = sg.mul(p, s), k + 1
             assert (e[s], m[s]) == (p, k)
         assert sg.idempotent_powers is sg.idempotent_powers
+
+
+def test_preimages_match_definition(rng):
+    for _ in range(30):
+        domain = rng.randint(0, 12)
+        size = rng.randint(1, 15)  # often larger than the domain
+        images = [rng.randrange(size) for _ in range(domain)]
+        order, start = preimages(np.asarray(images, dtype=np.int32), size)
+        assert len(start) == size + 1
+        for t in range(size):
+            assert order[start[t]:start[t + 1]] == [
+                s for s in range(domain) if images[s] == t]

@@ -10,6 +10,7 @@ from omegasem import (NotClosed, PairSet, Recognizer, adversarial_fixture,
                       maximal_pair_set, member, minimize, syntactic_morphism,
                       universal_recognizer, weak_to_strong)
 from omegasem.langops import language_equivalent
+from omegasem.mso import FAMILIES, compile_formula
 from omegasem.syntactic import t_semigroup_values, _t_multiply
 from omegasem.semigroup import close_generators
 
@@ -40,6 +41,18 @@ def test_maximal_pair_set_is_language_maximal(rng):
             single = PairSet.from_pairs(n, [pair])
             inside = inclusion_test(h, single, rec.accepting).included
             assert (pair in full) == inside
+
+
+def test_maximal_pair_set_of_closed_set_adds_no_linked_pair(rng):
+    # on a linked pair (s, e) the idempotent power of e is e and s e = s, so
+    # Q agrees with P there: the language operations read P itself
+    recs = [weak_to_strong(random_recognizer(rng, max_size=12))
+            for _ in range(20)]
+    recs += [compile_formula(fam(2)) for fam in FAMILIES.values()]
+    for rec in recs:
+        sg = rec.morphism.semigroup
+        q = maximal_pair_set(rec.morphism, rec.accepting, audit=True)
+        assert np.array_equal(q.bits & sg.linked, rec.accepting.bits)
 
 
 def test_minimize_idempotent_and_smaller(rng):
@@ -111,8 +124,9 @@ def test_audit_rejects_non_closed_strong_input():
 
 def test_split_work_bound(rng):
     for _ in range(20):
-        rec = random_recognizer(rng, max_size=20)
-        result = syntactic_morphism(rec)
+        # a closed P over the same morphism: the bound depends only on it
+        rec = strongify(random_recognizer(rng, max_size=20))
+        result = syntactic_morphism(rec, audit=True)
         n = rec.morphism.semigroup.size
         a = len(rec.alphabet)
         bound = 2 * a * n * max(math.log2(n), 1)
