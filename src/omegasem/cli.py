@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_mso_compile)
     pt = msub.add_parser("table1", help="run the benchmark formula families")
     pt.add_argument("--full", action="store_true",
-                    help="include the k = 6 rows (slow)")
+                    help="include the k = 6 rows")
     pt.set_defaults(func=cmd_mso_table1)
 
     p = sub.add_parser("table1", help="alias for 'mso table1'")

@@ -7,6 +7,13 @@ second-order set variables (capitalized names).  Atoms are ``x < y``,
 far to the right as possible.  Implication and universal quantification
 are rewritten into the {not, and, or, exists} core at parse time.
 
+Before compiling, ``miniscope`` pushes negations and quantifiers as far
+inward as they go (the formula reduction of MONA), so that each powerset
+projection covers as little of the formula as possible, and the compiler
+compiles each subformula once up to renaming: subformulas that differ
+only by a renaming of their variables that keeps the order of the free
+ones share one recognizer.
+
 Words over the free second-order variables V are encoded over the
 alphabet 2^V: each letter is a bit string, character i giving membership
 in the i-th variable of V in sorted order.  First-order variables are
@@ -245,11 +252,127 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    out = p.formula()
+    try:
+        out = p.formula()
+    except RecursionError:
+        raise MsoSyntaxError("formula nested too deeply") from None
     tok, pos = p.tokens[p.i]
     if tok is not None:
         raise MsoSyntaxError("unexpected %r after formula" % (tok,), pos)
     return out
+
+
+# ---------------------------------------------------------------------------
+# miniscoping
+#
+# The rewrite works on negation normal form, with nodes (op, args, fv):
+# op "lit" has args (positive, atom); "and" and "or" have a tuple of
+# operands, flattened and without repeats; "E" and "A" have (var, body).
+# fv is the node's frozenset of free variables.
+
+_DUAL = {"and": "or", "or": "and"}
+_SPLITS = {"E": "or", "A": "and"}  # the connective a quantifier splits over
+
+
+def _junction(op, parts):
+    """``op`` over ``parts``, flattened, repeats dropped; one part alone."""
+    flat = []
+    for p in parts:
+        flat.extend(p[1] if p[0] == op else (p,))
+    flat = list(dict.fromkeys(flat))
+    if len(flat) == 1:
+        return flat[0]
+    return (op, tuple(flat), frozenset().union(*(p[2] for p in flat)))
+
+
+def _quantifier_free(node) -> bool:
+    if node[0] == "lit":
+        return True
+    return node[0] in _DUAL and all(map(_quantifier_free, node[1]))
+
+
+def _quantify(q, v, body):
+    """Quantifier ``q`` over ``v`` pushed as far into ``body`` as it goes."""
+    if v not in body[2]:
+        return body
+    split = _SPLITS[q]
+    if body[0] == split:
+        return _junction(split, [_quantify(q, v, p) for p in body[1]])
+    if body[0] == _DUAL[split]:
+        join = body[0]
+        free = [p for p in body[1] if v not in p[2]]
+        bound = [p for p in body[1] if v in p[2]]
+        if free:
+            return _junction(join, free + [_quantify(q, v, _junction(join,
+                                                                     bound))])
+        # Q v (R join (d1 split d2 ...)) = (Q v (R join d1)) split ...,
+        # taken only for a quantifier-free R and only when some d_i, or a
+        # piece of it, leaves the scope of v.
+        for i, p in enumerate(bound):
+            rest = bound[:i] + bound[i + 1:]
+            if p[0] == split and all(map(_quantifier_free, rest)) and any(
+                    v not in d[2] or d[0] == join
+                    and any(v not in c[2] for c in d[1]) for d in p[1]):
+                return _junction(split, [
+                    _quantify(q, v, _junction(join, rest + [d]))
+                    for d in p[1]])
+    return (q, (v, body), body[2] - {v})
+
+
+def _reduce(phi: Formula, positive: bool):
+    """Miniscoped negation normal form of phi, or of !phi if not positive."""
+    while isinstance(phi, Not):
+        phi, positive = phi.body, not positive
+    if isinstance(phi, (And, Or)):
+        parts, todo = [], [phi]
+        while todo:  # a chain of one connective, without recursion
+            f = todo.pop()
+            if type(f) is type(phi):
+                todo += (f.right, f.left)
+            else:
+                parts.append(_reduce(f, positive))
+        return _junction("and" if isinstance(phi, And) == positive else "or",
+                         parts)
+    if isinstance(phi, Exists):
+        return _quantify("E" if positive else "A", phi.var,
+                         _reduce(phi.body, positive))
+    return ("lit", (positive, phi), free_vars(phi))
+
+
+def _balanced(cls, parts) -> Formula:
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return cls(_balanced(cls, parts[:mid]), _balanced(cls, parts[mid:]))
+
+
+def _core(node, positive=True) -> Formula:
+    """The core formula of a normal-form node, or of its negation."""
+    op, args, _ = node
+    if op == "lit":
+        sign, atom = args
+        return atom if sign == positive else Not(atom)
+    if op in _SPLITS:
+        out = Exists(args[0], _core(args[1], op == "E"))
+        return out if (op == "E") == positive else Not(out)
+    cls = And if (op == "and") == positive else Or
+    return _balanced(cls, [_core(p, positive) for p in args])
+
+
+def miniscope(phi: Formula) -> Formula:
+    """An equivalent core formula with negations and quantifiers inward.
+
+    Negations are pushed to the atoms and across quantifiers (a universal
+    quantifier stays ``Not(Exists(Not ...))``).  Each quantifier is split
+    over the connective it distributes over (E over |, A over &) and
+    leaves out the operands of the other connective that do not mention
+    its variable.  A quantifier-free side is distributed over the other
+    connective only when some piece then leaves the quantifier's scope;
+    the formula is never expanded to a full CNF or DNF.  Chains of one
+    connective are flattened, without repeated operands, and rebuilt as
+    balanced trees.
+    """
+    return _core(_reduce(phi, True))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +461,36 @@ def _singleton_buchi(variables, v) -> BuchiAutomaton:
 # compilation
 
 
+def _alpha_key(phi: Formula, names, depth=0):
+    """phi with each variable replaced by its entry in ``names``, each bound
+    variable by its binding depth (kinds kept) and the two operands of
+    ``&`` and ``|`` unordered: equal keys mean equal languages over the
+    positional alphabet."""
+    if isinstance(phi, In):
+        return (In, names[phi.x], names[phi.X])
+    if isinstance(phi, (Less, Succ)):
+        return (type(phi), names[phi.x], names[phi.y])
+    if isinstance(phi, Not):
+        return (Not, _alpha_key(phi.body, names, depth))
+    if isinstance(phi, (And, Or)):
+        return (type(phi), frozenset((_alpha_key(phi.left, names, depth),
+                                      _alpha_key(phi.right, names, depth))))
+    inner = dict(names)
+    inner[phi.var] = ("bound", depth, is_second_order(phi.var))
+    return (Exists, inner[phi.var], _alpha_key(phi.body, inner, depth + 1))
+
+
 class Compiler:
-    """Bottom-up compiler with memoization of identical subproblems."""
+    """Bottom-up compiler that builds each subformula once up to renaming.
+
+    Every node yields the minimized recognizer of its language over 2^fv,
+    fv in sorted order, so two nodes whose free variables, renamed by rank,
+    give equal ``_alpha_key`` share one recognizer.
+    """
 
     def __init__(self, *, audit=False):
         self.audit = audit
-        self._memo: Dict[tuple, Tuple[Recognizer, tuple]] = {}
+        self._memo: Dict[tuple, Recognizer] = {}
 
     def _mini(self, rec: Recognizer) -> Recognizer:
         return minimize(rec, audit=self.audit)
@@ -356,8 +503,12 @@ class Compiler:
         return self._mini(buchi_to_strong(aut))
 
     def singleton(self, variables, v) -> Recognizer:
-        aut = _singleton_buchi(variables, v)
-        return self._mini(buchi_to_strong(aut))
+        key = ("singleton", len(variables), sorted(variables).index(v))
+        rec = self._memo.get(key)
+        if rec is None:
+            aut = _singleton_buchi(variables, v)
+            rec = self._memo[key] = self._mini(buchi_to_strong(aut))
+        return rec
 
     def _align(self, rec: Recognizer, have, want) -> Recognizer:
         if set(have) == set(want):
@@ -366,42 +517,38 @@ class Compiler:
                                audit=self.audit)
 
     def compile(self, phi: Formula) -> Recognizer:
-        rec, fv = self._go(phi)
-        return rec
+        return self._go(miniscope(phi))[0]
 
     def _go(self, phi: Formula):
-        hit = self._memo.get(phi)
-        if hit is not None:
-            return hit
-        out = self._build(phi)
-        self._memo[phi] = out
-        return out
-
-    def _build(self, phi: Formula):
+        """(recognizer, sorted free variables) of phi."""
         fv = tuple(sorted(free_vars(phi)))
+        key = _alpha_key(phi, {v: ("free", i, is_second_order(v))
+                               for i, v in enumerate(fv)})
+        rec = self._memo.get(key)
+        if rec is None:
+            rec = self._memo[key] = self._build(phi, fv)
+        return rec, fv
+
+    def _build(self, phi: Formula, fv) -> Recognizer:
         if isinstance(phi, (Less, Succ, In)):
-            return self.atomic(phi, fv), fv
+            return self.atomic(phi, fv)
         if isinstance(phi, Not):
-            sub, sfv = self._go(phi.body)
-            return complement(sub, audit=self.audit), sfv
+            return complement(self._go(phi.body)[0], audit=self.audit)
         if isinstance(phi, (And, Or)):
             l, lfv = self._go(phi.left)
             r, rfv = self._go(phi.right)
-            both = tuple(sorted(set(lfv) | set(rfv)))
-            l = self._align(l, lfv, both)
-            r = self._align(r, rfv, both)
+            l = self._align(l, lfv, fv)
+            r = self._align(r, rfv, fv)
             op = intersect if isinstance(phi, And) else union
-            return op(l, r, audit=self.audit), both
+            return op(l, r, audit=self.audit)
         if isinstance(phi, Exists):
             sub, sfv = self._go(phi.body)
             if phi.var not in sfv:
-                return sub, sfv
+                return sub
             if not is_second_order(phi.var):
                 sub = intersect(sub, self.singleton(sfv, phi.var),
                                 audit=self.audit)
-            rest = tuple(v for v in sfv if v != phi.var)
-            out = project(sub, _erasing_map(sfv, rest), audit=self.audit)
-            return out, rest
+            return project(sub, _erasing_map(sfv, fv), audit=self.audit)
         raise TypeError("not a formula: %r" % (phi,))
 
 
@@ -409,7 +556,10 @@ def compile_formula(phi, *, audit=False):
     """Compile a formula (or its source text) to a minimized recognizer."""
     if isinstance(phi, str):
         phi = parse(phi)
-    return Compiler(audit=audit).compile(phi)
+    try:
+        return Compiler(audit=audit).compile(phi)
+    except RecursionError:
+        raise MsoSyntaxError("formula nested too deeply") from None
 
 
 def recognizer_stats(rec: Recognizer):

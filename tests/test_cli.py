@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from omegasem import (PairSet, Recognizer, cli_dispatch, member,
+from omegasem import (PairSet, Recognizer, cli_dispatch, member, mso,
                       universal_recognizer)
 from omegasem.formats import save_lettermap, save_recognizer
 from omegasem.langops import LetterMap
@@ -50,7 +50,20 @@ def test_exit_codes_for_usage_and_data_errors(run, tmp_path):
     deep = tmp_path / "deep.mso"
     deep.write_text("!" * 5000 + "X")
     code, _, err = run("mso", "compile", str(deep))
-    assert code == 4 and "internal error: RecursionError" in err
+    assert code == 3 and "nested too deeply" in err
+
+
+def test_unexpected_exception_is_an_internal_error(run, tmp_path,
+                                                   monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(mso, "compile_formula", broken)
+    formula = tmp_path / "f.mso"
+    formula.write_text("E x. x in X")
+    code, out, err = run("mso", "compile", str(formula))
+    assert code == 4 and out == ""
+    assert "internal error: RuntimeError: boom" in err
 
 
 def test_check_strong_verdicts(run, tmp_path, band_files):

@@ -1,13 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
 from omegasem import (MsoSyntaxError, UPWord, compile_formula, evaluate,
                       member, parse)
-from omegasem.mso import (And, Exists, In, Less, Not, Or, Succ, chi_formula,
-                          free_vars, phi_formula, psi_formula,
-                          recognizer_stats, sample_models, table_row,
-                          var_alphabet)
+from omegasem.formats import dumps_recognizer
+from omegasem.mso import (FAMILIES, And, Compiler, Exists, In, Less, Not, Or,
+                          Succ, chi_formula, free_vars, miniscope,
+                          phi_formula, psi_formula, recognizer_stats,
+                          sample_models, table_row, var_alphabet)
 
 from conftest import random_upword
 
@@ -32,6 +34,25 @@ def test_parse_errors_have_positions():
     for bad in ["x <", "E x", "(x < y", "x in in", "& x < y", "x @ y"]:
         with pytest.raises(MsoSyntaxError):
             parse(bad)
+
+
+def test_over_deep_formulas_are_syntax_errors():
+    with pytest.raises(MsoSyntaxError, match="nested too deeply"):
+        parse("!" * 5000 + "X")
+    deep = Not(In("x", "X"))
+    for _ in range(5000):
+        deep = Exists("x", deep)
+    with pytest.raises(MsoSyntaxError, match="nested too deeply"):
+        compile_formula(deep)
+
+
+def test_long_negation_and_conjunction_chains_compile():
+    rec = compile_formula("!" * 481 + "E x. x in X")
+    assert member(rec, bitword("", "0")) and not member(rec, bitword("", "1"))
+    chain = " & ".join("(E x%d. x%d in X)" % (i % 3, i % 3)
+                       for i in range(480))
+    rec = compile_formula(chain)
+    assert member(rec, bitword("", "1")) and not member(rec, bitword("", "0"))
 
 
 def test_free_vars_and_alphabet():
@@ -133,6 +154,124 @@ def test_named_families_match_evaluator():
     rng = random.Random(5)
     for fam in (phi_formula, psi_formula, chi_formula):
         check_against_evaluator(fam(1), 40, rng)
+        for k in (2, 3):
+            check_against_evaluator(fam(k), 8, rng)
+
+
+# -- miniscoping and shared subformulas ----------------------------------------
+
+
+def conjuncts(phi):
+    if isinstance(phi, And):
+        return conjuncts(phi.left) + conjuncts(phi.right)
+    return [phi]
+
+
+def subformulas(phi):
+    yield phi
+    for child in vars(phi).values():
+        if not isinstance(child, str):
+            yield from subformulas(child)
+
+
+def test_miniscope_matches_evaluator_and_keeps_free_vars():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        phi = random_formula(rng, fo_pool=("x", "y", "z"), depth=4)
+        small = miniscope(phi)
+        assert free_vars(small) == free_vars(phi)
+        alphabet = var_alphabet(sorted(free_vars(phi)))
+        for _ in range(4):
+            w = random_upword(rng, alphabet, max_prefix=2, max_period=2)
+            assert evaluate(small, w) == evaluate(phi, w), "%s on %s" % (phi, w)
+
+
+def test_miniscope_is_idempotent():
+    rng = random.Random(11)
+    formulas = [random_formula(rng, fo_pool=("x", "y", "z"), depth=4)
+                for _ in range(200)]
+    formulas += [fam(k) for fam in FAMILIES.values() for k in (2, 3, 4)]
+    for phi in formulas:
+        small = miniscope(phi)
+        assert miniscope(small) == small
+
+
+def test_miniscope_splits_the_families():
+    parts = conjuncts(miniscope(phi_formula(4)))
+    assert sorted(sorted(free_vars(p)) for p in parts) == [
+        ["X1"], ["X2"], ["X3"], ["X4"]]
+    # psi: the quantifier-free successor test is distributed so that each
+    # x in X_i leaves the scope of y
+    parts = conjuncts(miniscope(psi_formula(3)))
+    assert sorted(sorted(free_vars(p)) for p in parts) == [
+        ["X1", "X2"], ["X1", "X3"], ["X2", "X3"]]
+    # chi: x < y is not distributed over (y in X_a | y in X_b), and the
+    # repeated operand of chi k = 2 (y in X2 | y in X2) is dropped
+    assert And(Less("x", "y"), Or(In("y", "X3"), In("y", "X2"))) \
+        in subformulas(miniscope(chi_formula(3)))
+    assert not any(isinstance(f, Or)
+                   for f in subformulas(miniscope(chi_formula(2))))
+
+
+def test_miniscope_respects_shadowing():
+    phi = parse("E y. (x < y & y in X1) & E y. (x < y & y in X2)")
+    assert phi == Exists("y", And(And(Less("x", "y"), In("y", "X1")),
+                                  Exists("y", And(Less("x", "y"),
+                                                  In("y", "X2")))))
+    assert miniscope(phi) == And(
+        Exists("y", And(Less("x", "y"), In("y", "X2"))),
+        Exists("y", And(Less("x", "y"), In("y", "X1"))))
+
+
+def test_rewrite_keeps_every_output_byte():
+    # the compiler without miniscope, node by node, gives the same file
+    rng = random.Random(77)
+    for _ in range(25):
+        phi = random_formula(rng, fo_pool=("x", "y", "z"),
+                             so_pool=("X1", "X2", "X3"), depth=4)
+        as_written, _ = Compiler()._go(phi)
+        assert dumps_recognizer(as_written) == \
+            dumps_recognizer(compile_formula(phi)), phi
+
+
+def test_renamed_subformulas_share_one_recognizer():
+    c = Compiler()
+    a, afv = c._go(parse("A x. E y. (x < y & y in X1)"))
+    b, bfv = c._go(parse("A z. E u. (z < u & u in X7)"))
+    assert a is b and afv == ("X1",) and bfv == ("X7",)
+    # operands of & and | are unordered; the order of free variables is not
+    left, _ = c._go(parse("x < y & y in X"))
+    assert c._go(parse("y in X & x < y"))[0] is left
+    assert c._go(parse("x < y"))[0] is not c._go(parse("y < x"))[0]
+    # bound variables are told apart by their binding depth
+    later = c._go(parse("E x. E y. (x < y & y in X)"))[0]
+    assert c._go(parse("E x. E y. (y < x & y in X)"))[0] is not later
+
+
+# SHA-256 of dumps_recognizer and the triple, computed before the rewrite
+# and the shared subformulas existed (phi k = 6 took about 30 s then)
+LARGER_ROWS = {
+    ("phi", 5): ((32, 243, 1), "198a3bc67c341fe1e3a45da69d4c1363"
+                               "4d58dc6dbfc02e9f794e9a4afeee3c01"),
+    ("psi", 5): ((539, 571, 538), "90f0eab7f748a5b4e566051739328b96"
+                                  "d5bfd3cf6d883abe7b09944424b7e81e"),
+    ("chi", 5): ((72, 283, 62), "3560c7e2ea30fd3a544a9e17c30ab7d3"
+                                "3fe19238969344bff70b91c28b343de1"),
+    ("phi", 6): ((64, 729, 1), "f7fb7bfa673d74572e00a6fa099ac8b0"
+                               "a1264e8acfe456ee29b1943db072828c"),
+    ("psi", 6): ((1863, 1927, 1862), "36f89a99fd6b63ad46cf1c8eab069166"
+                                     "a630d8db00c37f312696579377ac1e0d"),
+    ("chi", 6): ((183, 934, 220), "8803c12a9b49f307996aeb568661281b"
+                                  "13f05bc6e7d3fb3b0d1959b6bc3dbbed"),
+}
+
+
+@pytest.mark.parametrize("family,k", sorted(LARGER_ROWS))
+def test_larger_rows_are_pinned(family, k):
+    rec = compile_formula(FAMILIES[family](k))
+    triple, digest = LARGER_ROWS[family, k]
+    assert recognizer_stats(rec) == triple
+    assert hashlib.sha256(dumps_recognizer(rec).encode()).hexdigest() == digest
 
 
 # -- benchmark families ------------------------------------------------------
