@@ -19,7 +19,6 @@ from .errors import (
     OmegasemError,
     ParseError,
     UnknownLetter,
-    UnknownVariable,
 )
 from .semigroup import MonoidView, Semigroup, close_generators
 from .morphism import (
@@ -90,7 +89,7 @@ __all__ = [
     "AlphabetMismatch", "ClosureCapExceeded", "EmptyPeriod",
     "MsoSyntaxError", "NonAssociative", "NotClosed",
     "NotLinkedPair", "OmegasemError", "ParseError",
-    "UnknownLetter", "UnknownVariable",
+    "UnknownLetter",
     "MonoidView", "Semigroup", "close_generators",
     "Morphism", "PairSet", "Recognizer", "UPWord", "is_empty",
     "linked_pairs", "member", "universal_recognizer",

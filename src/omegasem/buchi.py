@@ -73,18 +73,15 @@ def _profile_mul(m, n):
     return (exist.astype(np.int8) + two.astype(np.int8))
 
 
-def buchi_to_strong(aut: BuchiAutomaton, *, cap=None,
-                    audit_bound=0) -> Recognizer:
+def buchi_to_strong(aut: BuchiAutomaton) -> Recognizer:
     """A strong recognizer of L(aut) over the transition-profile semigroup.
 
     A linked pair (s, e) is accepting iff some run starting in an initial
     state follows s and then loops on e through a final state.
     """
     values = [aut.letter_matrix(a) for a in aut.alphabet]
-    kwargs = {} if cap is None else {"cap": cap}
-    sg, seeds, elements = close_generators(
-        values, _profile_mul, key=lambda v: v.tobytes(),
-        audit_bound=audit_bound, **kwargs)
+    sg, seeds, elements = close_generators(values, _profile_mul,
+                                           key=lambda v: v.tobytes())
     morphism = Morphism(aut.alphabet, sg, seeds)
     profiles = np.stack(elements)
     # reach[s, q]: s leads from an initial state to q; loops[e, q]: e loops

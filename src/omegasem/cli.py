@@ -148,24 +148,13 @@ def cmd_to_morphism(args):
 
 def cmd_gen_adversarial(args):
     morphism, pairs = syntactic.adversarial_fixture(args.n)
-    rec = Recognizer(morphism, pairs, "weak")
-    if args.stats:
-        print(_stats_line(rec))
-    if args.output is not None:
-        formats.save_recognizer(rec, args.output, generated=True)
-    elif not args.stats:
-        formats.save_recognizer(rec, sys.stdout, generated=True)
+    _emit_recognizer(Recognizer(morphism, pairs, "weak"), args)
     return EXIT_TRUE
 
 
 def cmd_mso_compile(args):
     rec = mso.compile_formula(formats._read(args.formula), audit=args.audit)
-    if args.stats:
-        print(_stats_line(rec))
-    if args.emit is not None:
-        formats.save_recognizer(rec, args.emit)
-    elif not args.stats:
-        formats.save_recognizer(rec, sys.stdout)
+    _emit_recognizer(rec, args)
     return EXIT_TRUE
 
 
@@ -213,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omegasem",
         description="Algebraic recognition of omega-regular languages.")
     parser.add_argument("--audit", action="store_true",
-                        help="enable exhaustive associativity and "
-                             "congruence checks")
+                        help="check that accepting sets are "
+                             "conjugation-closed and that minimisation "
+                             "yields a congruence")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("minimize", help="compute the syntactic recognizer")
@@ -290,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output", metavar="FILE", default=None)
     p.add_argument("--stats", action="store_true")
-    p.set_defaults(func=cmd_gen_adversarial)
+    p.set_defaults(func=cmd_gen_adversarial, generated=True)
 
     p = sub.add_parser("mso", help="logic-to-recognizer compiler")
     msub = p.add_subparsers(dest="mso_command", required=True)
     pc = msub.add_parser("compile", help="compile a formula file")
     pc.add_argument("formula")
     pc.add_argument("--stats", action="store_true")
-    pc.add_argument("--emit", metavar="FILE", default=None,
+    pc.add_argument("--emit", dest="output", metavar="FILE", default=None,
                     help="write the compiled recognizer here")
     pc.set_defaults(func=cmd_mso_compile)
     pt = msub.add_parser("table1", help="run the benchmark formula families")

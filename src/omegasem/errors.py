@@ -10,7 +10,7 @@ class ClosureCapExceeded(OmegasemError):
 
 
 class NonAssociative(OmegasemError):
-    """Raised when a multiplication table fails the associativity audit."""
+    """Raised when a multiplication table fails the associativity check."""
 
 
 class UnknownLetter(OmegasemError):
@@ -51,7 +51,3 @@ class MsoSyntaxError(OmegasemError):
         if pos is not None:
             message = "at position %d: %s" % (pos, message)
         super().__init__(message)
-
-
-class UnknownVariable(OmegasemError):
-    """Raised when a formula references an undeclared variable."""

@@ -151,7 +151,15 @@ def dumps_recognizer(rec: Recognizer, *, generated: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def loads_recognizer(text: str, *, audit_bound: Optional[int] = None) -> Recognizer:
+def loads_recognizer(text: str) -> Recognizer:
+    """Parse a recognizer file; every check runs before anything is returned.
+
+    Beyond the syntax: ids in range, every element generated by the letter
+    images, an associative table (Light's test, also on a table rebuilt from
+    ``table: generated`` rows), accepting pairs linked, and for
+    ``mode: strong`` a conjugation-closed accepting set.  Any failure is a
+    ``ParseError``.
+    """
     lines = _Lines(text)
     _check_header(lines, "recognizer", RECOGNIZER_VERSION)
     mode = lines.expect("mode")
@@ -201,12 +209,12 @@ def loads_recognizer(text: str, *, audit_bound: Optional[int] = None) -> Recogni
             lines.fail("accepting pair (%d, %d) out of range" % (s, e))
         accepting.bits[s, e] = True
     lines.done()
-    kwargs = {} if audit_bound is None else {"audit_bound": audit_bound}
     try:
         if kind == "generated":
-            sg = Semigroup.from_right_cayley(rows, generators, **kwargs)
+            sg = Semigroup.from_right_cayley(rows, generators)
+            sg.check_associativity()
         else:
-            sg = Semigroup(rows, generators, **kwargs)
+            sg = Semigroup(rows, generators)
         rec = Recognizer(Morphism(alphabet, sg, images), accepting, mode)
         if mode == "strong" and not is_conjugation_closed(rec.morphism,
                                                           accepting):

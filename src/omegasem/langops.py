@@ -4,8 +4,10 @@ All operations work on strong, that is conjugation-closed, recognizers
 (``weak_to_strong`` upgrades weak inputs) and return minimized strong
 recognizers.  On the linked pairs a closed P equals its maximal pair set,
 so the operations read the accepting sets themselves: complementation takes
-the linked pairs outside P, and union and intersection pull both sets back
-onto a product morphism.
+the linked pairs outside P, and projection reads P over the powerset
+semigroup.  Products and preimages are one operation, ``pullback``: union,
+intersection, inclusion across two morphisms and inverse projection each
+pull their accepting sets back onto one product morphism.
 """
 
 from __future__ import annotations
@@ -31,48 +33,57 @@ def complement(rec: Recognizer, *, audit=False) -> Recognizer:
     return minimize(comp, audit=audit)
 
 
-def _product(r1: Recognizer, r2: Recognizer):
-    """Morphism into the subsemigroup of S1 x S2 generated by the letters."""
-    if r1.morphism.alphabet != r2.morphism.alphabet:
-        raise AlphabetMismatch("operands use different alphabets")
-    t1 = r1.morphism.semigroup.table
-    t2 = r2.morphism.semigroup.table
+def pullback(alphabet, parts):
+    """Accepting sets pulled back onto one product morphism over ``alphabet``.
 
-    def mul(a, b):
-        return (int(t1[a[0], b[0]]), int(t2[a[1], b[1]]))
+    Each part is ``(rec, letters)``: a recognizer and a mapping that sends
+    each letter of ``alphabet`` to a letter of ``rec``.  Every recognizer is
+    made strong, and the product morphism h sends a letter to the tuple of
+    the parts' images of its letters.  Its semigroup is the subsemigroup of
+    S_1 x ... x S_m that these tuples generate, closed once: the letter maps
+    need not be surjective, and elements outside it have empty preimage.
 
-    values = [(int(x), int(y))
-              for x, y in zip(r1.morphism.images, r2.morphism.images)]
-    sg, seeds, elements = close_generators(values, mul, audit_bound=0)
-    return Morphism(r1.morphism.alphabet, sg, seeds), elements
-
-
-def _transport(r1: Recognizer, r2: Recognizer):
-    """Both accepting sets, made strong, pulled back onto the product.
-
-    Returns ``(h, p1, p2)``: the product morphism and the linked pairs of
-    ``h`` whose components lie in each operand's closed accepting set.  The
-    projections map linked pairs to linked pairs, so the pull-back of a
-    closed P recognizes the same language over ``h``.
+    Returns ``(h, sets)``: ``sets[i]`` holds the linked pairs of h whose
+    i-th components form a pair of P_i.  The component projections map
+    linked pairs to linked pairs, so the pull-back of a closed P_i is closed
+    and recognizes, over h, the preimage of L(rec_i).
     """
-    r1, r2 = weak_to_strong(r1), weak_to_strong(r2)
-    h, elements = _product(r1, r2)
-    lp = linked_pairs(h.semigroup)
-    c1, c2 = np.asarray(elements).T  # first and second components
-    p1 = PairSet(lp.bits & r1.accepting.bits[np.ix_(c1, c1)])
-    p2 = PairSet(lp.bits & r2.accepting.bits[np.ix_(c2, c2)])
-    return h, p1, p2
+    recs = [weak_to_strong(rec) for rec, _ in parts]
+    tables = [rec.morphism.semigroup.table for rec in recs]
+    values = [tuple(int(rec.morphism.image(letters[a]))
+                    for rec, (_, letters) in zip(recs, parts))
+              for a in alphabet]
+
+    def mul(x, y):
+        return tuple([int(t[s, u]) for t, s, u in zip(tables, x, y)])
+
+    sg, seeds, elements = close_generators(values, mul)
+    lp = linked_pairs(sg).bits
+    comps = np.asarray(elements).T
+    return Morphism(alphabet, sg, seeds), [
+        PairSet(lp & rec.accepting.bits[np.ix_(c, c)])
+        for rec, c in zip(recs, comps)]
+
+
+def _pullback_pair(r1: Recognizer, r2: Recognizer):
+    """``pullback`` of two recognizers over their common alphabet."""
+    alphabet = r1.morphism.alphabet
+    if r2.morphism.alphabet != alphabet:
+        raise AlphabetMismatch("operands use different alphabets")
+    same = dict(zip(alphabet, alphabet))
+    return pullback(alphabet, [(r1, same), (r2, same)])
 
 
 def language_included(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) subseteq L(r2) for recognizers over the same alphabet.
 
     Over one morphism the accepting sets are compared as they are;
-    otherwise both are transported onto the product morphism first.
+    otherwise both are pulled back onto the product morphism first.
     """
     if r1.morphism.same_as(r2.morphism):
         return inclusion_test(r1.morphism, r1.accepting, r2.accepting)
-    return inclusion_test(*_transport(r1, r2))
+    h, (p1, p2) = _pullback_pair(r1, r2)
+    return inclusion_test(h, p1, p2)
 
 
 def language_equivalent(r1: Recognizer, r2: Recognizer):
@@ -87,12 +98,12 @@ def language_equivalent(r1: Recognizer, r2: Recognizer):
 
 
 def union(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, p1, p2 = _transport(r1, r2)
+    h, (p1, p2) = _pullback_pair(r1, r2)
     return minimize(Recognizer(h, p1 | p2, "strong"), audit=audit)
 
 
 def intersect(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, p1, p2 = _transport(r1, r2)
+    h, (p1, p2) = _pullback_pair(r1, r2)
     return minimize(Recognizer(h, p1 & p2, "strong"), audit=audit)
 
 
@@ -148,7 +159,7 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
     def mul(x, y):
         return tuple(np.unique(table[np.ix_(x, y)]).tolist())
 
-    sg, seeds, elements = close_generators(values, mul, audit_bound=0)
+    sg, seeds, elements = close_generators(values, mul)
     new_h = Morphism(tuple(lmap.target), sg, seeds)
     pbits = rec.accepting.bits
     lp = linked_pairs(sg)
@@ -162,25 +173,8 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
 
 
 def inverse_project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
-    """Recognizer of the preimage language: pull letters back along the map.
-
-    The morphism just composes the letter map with the original images, so
-    preimages need no automaton detour.
-    """
-    rec = weak_to_strong(rec)
+    """Recognizer of the preimage language: pull letters back along the map."""
     if lmap.target != rec.morphism.alphabet:
         raise AlphabetMismatch("letter map target does not match recognizer")
-    h = rec.morphism
-    idx = {a: i for i, a in enumerate(h.alphabet)}
-    values = [int(h.images[idx[lmap.mapping[a]]]) for a in lmap.source]
-    table = h.semigroup.table
-    # restrict to the subsemigroup generated by the pulled-back letters:
-    # the map need not be surjective, and unreachable elements have empty
-    # preimage under the new morphism
-    sg, seeds, elements = close_generators(
-        values, lambda a, b: int(table[a, b]), audit_bound=0)
-    new_h = Morphism(tuple(lmap.source), sg, seeds)
-    el = np.asarray(elements)
-    bits = linked_pairs(sg).bits & rec.accepting.bits[np.ix_(el, el)]
-    out = Recognizer(new_h, PairSet(bits), "strong")
-    return minimize(out, audit=audit)
+    h, (p,) = pullback(lmap.source, [(rec, lmap.mapping)])
+    return minimize(Recognizer(h, p, "strong"), audit=audit)

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .buchi import BuchiAutomaton, buchi_to_strong
-from .errors import MsoSyntaxError, UnknownVariable
-from .langops import LetterMap, complement, intersect, inverse_project, \
-    project, union
+from .errors import MsoSyntaxError
+from .langops import LetterMap, complement, intersect, project, pullback
 from .morphism import Recognizer, UPWord
 from .syntactic import minimize
 
@@ -496,9 +495,6 @@ class Compiler:
         return minimize(rec, audit=self.audit)
 
     def atomic(self, atom, variables) -> Recognizer:
-        for v in free_vars(atom):
-            if v not in variables:
-                raise UnknownVariable("variable %r not in scope" % (v,))
         aut = _atom_buchi(atom, variables)
         return self._mini(buchi_to_strong(aut))
 
@@ -509,12 +505,6 @@ class Compiler:
             aut = _singleton_buchi(variables, v)
             rec = self._memo[key] = self._mini(buchi_to_strong(aut))
         return rec
-
-    def _align(self, rec: Recognizer, have, want) -> Recognizer:
-        if set(have) == set(want):
-            return rec
-        return inverse_project(rec, _erasing_map(want, have),
-                               audit=self.audit)
 
     def compile(self, phi: Formula) -> Recognizer:
         return self._go(miniscope(phi))[0]
@@ -535,12 +525,12 @@ class Compiler:
         if isinstance(phi, Not):
             return complement(self._go(phi.body)[0], audit=self.audit)
         if isinstance(phi, (And, Or)):
-            l, lfv = self._go(phi.left)
-            r, rfv = self._go(phi.right)
-            l = self._align(l, lfv, fv)
-            r = self._align(r, rfv, fv)
-            op = intersect if isinstance(phi, And) else union
-            return op(l, r, audit=self.audit)
+            # both operands pulled straight onto 2^fv: one closure
+            h, (p, q) = pullback(var_alphabet(fv), [
+                (rec, _erasing_map(fv, sfv).mapping)
+                for rec, sfv in (self._go(phi.left), self._go(phi.right))])
+            pairs = p & q if isinstance(phi, And) else p | q
+            return self._mini(Recognizer(h, pairs, "strong"))
         if isinstance(phi, Exists):
             sub, sfv = self._go(phi.body)
             if phi.var not in sfv:

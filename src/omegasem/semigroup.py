@@ -1,11 +1,19 @@
 """Finite semigroups with dense multiplication tables.
 
-Elements are integer indices into a full |S| x |S| table.  Semigroups are
-built by closing a set of generator values under an abstract product, or
-from their right Cayley graph; either way the table is filled column by
-column along a breadth-first search from the generators.  In a closure the
-discovery order fixes the element numbering, so equal inputs always yield
-identical tables.
+Elements are integer indices into a full |S| x |S| table.  There is one
+build path: a semigroup is given by its right Cayley graph, and
+``Semigroup.from_right_cayley`` fills the table column by column along a
+breadth-first search from the generators.  ``close_generators`` closes a
+set of generator values under an abstract product and hands the right
+Cayley rows it discovered to that path; its discovery order is the search
+order, so equal inputs always yield identical tables.
+
+Checks sit where a table comes from outside.  ``Semigroup(table,
+generators)`` takes a full table and checks its range, that the generators
+generate it, and associativity by Light's test.  ``from_right_cayley``
+checks only that the generators reach every element and trusts the rows:
+the library builds them from products it computed itself, and the
+recognizer loader runs ``check_associativity`` on the table it rebuilt.
 
 Derived data (idempotents, linked pairs, idempotent powers, Green's R- and
 L-classes) is computed from the table with array operations the first time
@@ -22,7 +30,6 @@ import numpy as np
 from .errors import ClosureCapExceeded, NonAssociative
 
 DEFAULT_CAP = 10**7
-DEFAULT_AUDIT_BOUND = 200
 
 
 class Semigroup:
@@ -30,53 +37,71 @@ class Semigroup:
 
     ``table[s, t]`` is the product ``s * t``.  ``generators`` lists the
     distinct generator elements in first-seen order; every element is a
-    product of generators.  ``parent`` and ``parent_gen`` record, for each
-    non-generator element, one decomposition ``t = parent[t] * g`` used both
-    for fast table construction and for shortest representative words.
+    product of generators.  ``parent`` and ``parent_gen`` record the
+    breadth-first decompositions ``t = parent[t] * generators[parent_gen[t]]``
+    (-1 for generators), which give shortest representative words.
+
+    The constructor checks an outside table: entries in range, every element
+    generated, and associativity.  Semigroups built by the library come from
+    ``from_right_cayley``, which trusts its rows.
     """
 
-    def __init__(self, table, generators, parent=None, parent_gen=None,
-                 audit_bound=DEFAULT_AUDIT_BOUND):
+    def __init__(self, table, generators):
         table = np.asarray(table, dtype=np.int32)
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValueError("table must be square")
         if n and (table.min() < 0 or table.max() >= n):
             raise ValueError("table entries out of range")
+        generators = [int(g) for g in generators]
+        order, parent, parent_gen = cayley_bfs(table[:, generators],
+                                               generators)
+        if len(order) != n:
+            raise ValueError("elements unreachable from generators")
+        self._set(table, generators, parent, parent_gen)
+        self.check_associativity()
+
+    def _set(self, table, generators, parent, parent_gen):
         self.table = table
         self.generators = tuple(int(g) for g in generators)
-        if parent is None:
-            _, parent, parent_gen = cayley_bfs(self.right_cayley,
-                                               self.generators)
         self.parent = np.asarray(parent, dtype=np.int32)
         self.parent_gen = np.asarray(parent_gen, dtype=np.int32)
-        if np.any((self.parent < 0) & ~np.isin(np.arange(n), self.generators)):
-            raise ValueError("elements unreachable from generators")
         self._green = {}
-        if n <= audit_bound:
-            self._audit_associativity()
 
     @classmethod
-    def from_right_cayley(cls, rc, generators, *,
-                          audit_bound=DEFAULT_AUDIT_BOUND):
+    def from_right_cayley(cls, rc, generators):
         """The semigroup with right-Cayley rows ``rc[s, j] = s * generators[j]``.
 
-        ``generators`` must be distinct.  Element numbering is kept; the full
-        table is rebuilt along a breadth-first search from the generators.
+        ``generators`` must be distinct and reach every element.  Element
+        numbering is kept; the full table is rebuilt along a breadth-first
+        search from the generators.  The rows are trusted: the result is
+        associative only if they are the right Cayley graph of a semigroup.
         """
         rc = np.asarray(rc, dtype=np.int32)
         order, parent, parent_gen = cayley_bfs(rc, generators)
         if len(order) != rc.shape[0]:
             raise ValueError("elements unreachable from generators")
-        table = _fill_table(rc, generators, order, parent, parent_gen)
-        return cls(table, generators, parent, parent_gen,
-                   audit_bound=audit_bound)
+        sg = cls.__new__(cls)
+        sg._set(_fill_table(rc, generators, order, parent, parent_gen),
+                generators, parent, parent_gen)
+        return sg
 
-    def _audit_associativity(self):
+    def check_associativity(self):
+        """Raise ``NonAssociative`` unless the table is associative.
+
+        Light's test: ``(x g) y = x (g y)`` for every generator g.  The
+        elements a with ``(x a) y = x (a y)`` for all x, y are closed under
+        products, so once every element is generated this is complete.
+        Costs O(|S|^2 |generators|).
+        """
         t = self.table
-        for a in range(self.size):
-            if not np.array_equal(t[t[a, :], :], t[a, t]):
-                raise NonAssociative("(%d * s) * t != %d * (s * t)" % (a, a))
+        for g in self.generators:
+            left = t.take(t[:, g], axis=0)  # (x g) y
+            right = t.take(t[g], axis=1)    # x (g y)
+            if not (left == right).all():
+                x, y = np.argwhere(left != right)[0]
+                raise NonAssociative("(%d * %d) * %d != %d * (%d * %d)"
+                                     % (x, g, y, x, g, y))
 
     # -- basic queries -------------------------------------------------------
 
@@ -233,8 +258,7 @@ def _fill_table(rc, generators, order, parent, parent_gen):
 
 
 def close_generators(values: Sequence, multiply: Callable, *, key=None,
-                     cap: int = DEFAULT_CAP,
-                     audit_bound: int = DEFAULT_AUDIT_BOUND):
+                     cap: int = DEFAULT_CAP):
     """Close ``values`` under ``multiply`` and build the full table.
 
     ``values`` may contain duplicates (e.g. two letters with the same image).
@@ -243,8 +267,9 @@ def close_generators(values: Sequence, multiply: Callable, *, key=None,
     ``seed_indices[i]`` is the element index of ``values[i]`` and ``elements``
     lists the closed values in discovery order.
 
-    Only |S| * |generators| abstract products are computed; the rest of the
-    table is filled in by reassociating against recorded decompositions.
+    Only the |S| * |generators| right-Cayley products are computed; the
+    discovery loop visits elements in ``cayley_bfs`` order, so
+    ``from_right_cayley`` keeps the numbering and fills in the rest.
     """
     if key is None:
         key = lambda v: v
@@ -260,14 +285,11 @@ def close_generators(values: Sequence, multiply: Callable, *, key=None,
     ngen = len(elements)
     if ngen == 0:
         raise ValueError("at least one generator is required")
-    gen_positions = list(range(ngen))
-    parent = [-1] * ngen
-    parent_gen = [-1] * ngen
     rc_rows = []  # rc_rows[s][j] = s * gen_j
     i = 0
     while i < len(elements):
         row = []
-        for j in gen_positions:
+        for j in range(ngen):
             p = multiply(elements[i], elements[j])
             k = key(p)
             t = index.get(k)
@@ -278,16 +300,10 @@ def close_generators(values: Sequence, multiply: Callable, *, key=None,
                         "closure exceeded cap of %d elements" % cap)
                 index[k] = t
                 elements.append(p)
-                parent.append(i)
-                parent_gen.append(j)
             row.append(t)
         rc_rows.append(row)
         i += 1
-    rc = np.asarray(rc_rows, dtype=np.int32)
-    table = _fill_table(rc, gen_positions, range(len(elements)), parent,
-                       parent_gen)
-    sg = Semigroup(table, gen_positions, parent, parent_gen,
-                   audit_bound=audit_bound)
+    sg = Semigroup.from_right_cayley(rc_rows, range(ngen))
     return sg, seed_indices, elements
 
 

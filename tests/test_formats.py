@@ -11,6 +11,7 @@ from omegasem.formats import (CAP_ENV_VAR, closure_cap, dumps_buchi,
                               dumps_lettermap, dumps_recognizer, loads_buchi,
                               loads_lettermap, loads_recognizer)
 from omegasem.langops import LetterMap
+from omegasem.semigroup import Semigroup, cayley_bfs
 
 from conftest import random_recognizer, section5_morphism
 from test_buchi import random_buchi
@@ -153,14 +154,74 @@ def test_recognizer_semantic_errors():
     _, msg = parse_error_line(base + "%d %d\n" % not_linked)
     assert "linked" in msg
 
-    # a non-associative full table must be rejected by the audit
+    # a non-associative full table must be rejected on load
     from omegasem.morphism import PairSet
     h = section5_morphism()
     text = dumps_recognizer(Recognizer(h, PairSet.empty(4), "weak"))
     broken = text.replace("table: full\n0 1 0 1", "table: full\n0 1 0 2")
     assert broken != text
     with pytest.raises(ParseError, match=r"\*"):
-        loads_recognizer(broken, audit_bound=100)
+        loads_recognizer(broken)
+
+
+def cyclic_group_file(n, corrupt=None):
+    """A full-table recognizer file for Z_n generated by 1, optionally with
+    ``table[s][t]`` replaced: ``corrupt = (s, t, value)``."""
+    rows = [[(s + t) % n for t in range(n)] for s in range(n)]
+    if corrupt is not None:
+        s, t, value = corrupt
+        rows[s][t] = value
+    return "\n".join(
+        ["recognizer v1", "mode: weak", "alphabet: a", "elements: %d" % n,
+         "image: a -> 1", "table: full"]
+        + [" ".join(map(str, row)) for row in rows] + ["accept:", ""])
+
+
+def test_large_non_associative_table_is_rejected(tmp_path):
+    # one entry off in a 210-element group: (4 * 1) * 7 = 13 but
+    # 4 * (1 * 7) = 12; every element is still generated by 1
+    assert loads_recognizer(cyclic_group_file(210)).morphism.semigroup.size \
+        == 210
+    broken = cyclic_group_file(210, corrupt=(5, 7, 13))
+    with pytest.raises(ParseError, match=r"\(4 \* 1\) \* 7"):
+        loads_recognizer(broken)
+    path = tmp_path / "z210.txt"
+    path.write_text(broken)
+    assert cli_dispatch(["minimize", str(path)]) == 3
+
+
+def test_load_accepts_exactly_the_associative_tables(rng):
+    # one corrupted entry of a full table or of right-Cayley rows: the file
+    # loads iff its (rebuilt) table is associative by the definition
+    outcomes = []
+    for _ in range(80):
+        rec = random_recognizer(rng, max_size=12, alphabet=("a", "b"))
+        sg = rec.morphism.semigroup
+        generated = rng.random() < 0.5
+        rows = (sg.right_cayley if generated else sg.table).copy()
+        rows[rng.randrange(sg.size), rng.randrange(rows.shape[1])] = \
+            rng.randrange(sg.size)
+        gens = list(sg.generators)
+        if len(cayley_bfs(rows if generated else rows[:, gens], gens)[0]) \
+                < sg.size:
+            continue  # unreachable elements are a different error
+        table = Semigroup.from_right_cayley(rows, gens).table \
+            if generated else rows
+        lines = dumps_recognizer(Recognizer(rec.morphism,
+                                            PairSet.empty(sg.size)),
+                                 generated=generated).split("\n")
+        first = [i for i, line in enumerate(lines)
+                 if line.startswith("table:")][0] + 1
+        lines[first:first + sg.size] = [" ".join(map(str, row))
+                                        for row in rows]
+        associative = np.array_equal(table[table], table[:, table])
+        if associative:
+            loads_recognizer("\n".join(lines))
+        else:
+            with pytest.raises(ParseError, match=r"\*"):
+                loads_recognizer("\n".join(lines))
+        outcomes.append(associative)
+    assert set(outcomes) == {False, True}
 
 
 def test_closure_cap_env(monkeypatch):

@@ -6,10 +6,12 @@ import pytest
 from omegasem import (MsoSyntaxError, UPWord, compile_formula, evaluate,
                       member, parse)
 from omegasem.formats import dumps_recognizer
+from omegasem.langops import intersect, inverse_project, union
 from omegasem.mso import (FAMILIES, And, Compiler, Exists, In, Less, Not, Or,
-                          Succ, chi_formula, free_vars, miniscope,
-                          phi_formula, psi_formula, recognizer_stats,
-                          sample_models, table_row, var_alphabet)
+                          Succ, _erasing_map, chi_formula, free_vars,
+                          miniscope, phi_formula, psi_formula,
+                          recognizer_stats, sample_models, table_row,
+                          var_alphabet)
 
 from conftest import random_upword
 
@@ -232,6 +234,31 @@ def test_rewrite_keeps_every_output_byte():
         as_written, _ = Compiler()._go(phi)
         assert dumps_recognizer(as_written) == \
             dumps_recognizer(compile_formula(phi)), phi
+
+
+def test_and_or_pull_back_like_inverse_projections():
+    # an & or | node whose operands have different free variables is one
+    # pull-back onto 2^fv; it must equal the two-step route that first
+    # inverse-projects each operand onto 2^fv
+    rng = random.Random(1018)
+    checked = 0
+    for _ in range(40):
+        phi = random_formula(rng, fo_pool=("x", "y", "z"),
+                             so_pool=("X1", "X2", "X3"), depth=4)
+        for node in subformulas(miniscope(phi)):
+            if not isinstance(node, (And, Or)):
+                continue
+            fv = free_vars(node)
+            sides = [Compiler()._go(side) for side in (node.left, node.right)]
+            if sides[0][1] == sides[1][1]:
+                continue
+            lifted = [inverse_project(rec, _erasing_map(fv, sfv))
+                      for rec, sfv in sides]
+            op = intersect if isinstance(node, And) else union
+            assert dumps_recognizer(Compiler()._go(node)[0]) == \
+                dumps_recognizer(op(*lifted)), node
+            checked += 1
+    assert checked >= 20
 
 
 def test_renamed_subformulas_share_one_recognizer():
