@@ -102,6 +102,27 @@ class _Lines:
                       % (count, what, len(out)))
         return out
 
+    def int_rows(self, what: str, n: int, width: int) -> np.ndarray:
+        """The next n lines as an n x width int64 array, with the errors
+        of ``ints``.
+
+        Rows of digits and single spaces are parsed as one block; if any of
+        the n lines is not of that form, all are parsed line by line, so
+        that an error names the same line as ``ints`` would.
+        """
+        items = self.items[self.pos:self.pos + n]
+        block = "\n".join(line for _, line in items)
+        if len(items) == n \
+                and not block.encode().translate(None, b"0123456789 \n") \
+                and "  " not in block \
+                and all(line.count(" ") == width - 1 for _, line in items):
+            self.pos += n
+            self.line_no = items[-1][0]
+            return np.fromstring(block, dtype=np.int64,
+                                 sep=" ").reshape(n, width)
+        return np.array([self.ints(what, width) for _ in range(n)],
+                        dtype=np.int64).reshape(n, width)
+
     def done(self):
         if self.pos < len(self.items):
             no, line = self.items[self.pos]
@@ -191,10 +212,10 @@ def loads_recognizer(text: str) -> Recognizer:
     width = {"full": n, "generated": len(generators)}.get(kind)
     if width is None:
         lines.fail("table must be 'full' or 'generated', got %r" % kind)
-    rows = np.asarray([lines.ints("table row", width) for _ in range(n)],
-                      dtype=np.int32)
-    if rows.size and (rows.min() < 0 or rows.max() >= n):
+    rows = lines.int_rows("table row", n, width)
+    if rows.min() < 0 or rows.max() >= n:
         lines.fail("table entries out of range")
+    rows = rows.astype(np.int32)
     if kind == "generated":
         cap = closure_cap()
         if n > cap:

@@ -26,7 +26,14 @@ from .syntactic import minimize
 
 
 def complement(rec: Recognizer, *, audit=False) -> Recognizer:
-    """A minimized recognizer of the complement language."""
+    """A minimized recognizer of the complement language.
+
+    A language and its complement have the same syntactic congruence, so
+    flipping the accepting set of a syntactic recognizer already gives the
+    syntactic recognizer of the complement; the MSO compiler, whose
+    recognizers are all syntactic, flips without minimising.  Here the
+    input may be any recognizer, so the result is minimised.
+    """
     rec = weak_to_strong(rec)
     lp = linked_pairs(rec.morphism.semigroup)
     comp = Recognizer(rec.morphism, lp - rec.accepting, "strong")

@@ -11,16 +11,16 @@ Before compiling, ``miniscope`` pushes negations and quantifiers as far
 inward as they go (the formula reduction of MONA), so that each powerset
 projection covers as little of the formula as possible, and the compiler
 compiles each subformula once up to renaming: subformulas that differ
-only by a renaming of their variables that keeps the order of the free
-ones share one recognizer.
+only by a renaming of their variables share one recognizer.
 
 Words over the free second-order variables V are encoded over the
 alphabet 2^V: each letter is a bit string, character i giving membership
 in the i-th variable of V in sorted order.  First-order variables are
 compiled as second-order tracks constrained to hold at exactly one
-position; the constraint is enforced both in the atom automata and again
-when the variable is existentially quantified, so that it survives
-complementation.
+position; the constraint is enforced in the atom automata, and again when
+the variable is existentially quantified over a body that does not
+guarantee it (for example one where the variable occurs only under a
+negation), so that it survives complementation.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError
-from .langops import LetterMap, complement, intersect, project, pullback
-from .morphism import Recognizer, UPWord
-from .syntactic import minimize
+from .langops import LetterMap, intersect, project, pullback
+from .morphism import PairSet, Recognizer, UPWord, linked_pairs
+from .syntactic import bfs_numbered, minimize
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +481,95 @@ def _alpha_key(phi: Formula, names, depth=0):
     return (Exists, inner[phi.var], _alpha_key(phi.body, inner, depth + 1))
 
 
+def _canonical_order(phi: Formula) -> Tuple[str, ...]:
+    """The free variables of phi by first occurrence in a traversal that
+    visits the operands of ``&`` and ``|`` sorted by their shape: the
+    operand with every variable name left out, as a string.
+
+    A renaming of the free variables renames this order with them, except
+    where two operands tie on their shape."""
+
+    def go(f):  # (shape, free variable occurrences in traversal order)
+        if isinstance(f, (Less, Succ)):
+            return type(f).__name__, (f.x, f.y)
+        if isinstance(f, In):
+            return "In", (f.x, f.X)
+        if isinstance(f, Not):
+            shape, names = go(f.body)
+            return "!(%s)" % shape, names
+        if isinstance(f, (And, Or)):
+            (ls, ln), (rs, rn) = sorted((go(f.left), go(f.right)),
+                                        key=lambda part: part[0])
+            return "%s(%s,%s)" % (type(f).__name__, ls, rs), ln + rn
+        shape, names = go(f.body)
+        return ("E%d(%s)" % (is_second_order(f.var), shape),
+                tuple(v for v in names if v != f.var))
+
+    return tuple(dict.fromkeys(go(phi)[1]))
+
+
+def _guarded(phi: Formula) -> FrozenSet[str]:
+    """First-order variables that every model of phi holds at exactly one
+    position, because an atom automaton enforces it."""
+    if isinstance(phi, (Less, Succ)):
+        return frozenset((phi.x, phi.y))
+    if isinstance(phi, In):
+        return frozenset((phi.x,))
+    if isinstance(phi, Not):
+        return frozenset()
+    if isinstance(phi, And):
+        return _guarded(phi.left) | _guarded(phi.right)
+    if isinstance(phi, Or):
+        return _guarded(phi.left) & _guarded(phi.right)
+    return _guarded(phi.body) - {phi.var}
+
+
+def _renamed(rec: Recognizer, ranks, new_ranks) -> Recognizer:
+    """rec with its letters' bits moved from positions ``ranks`` to
+    ``new_ranks``, renumbered as ``minimize`` would number it.
+
+    Bit ``ranks[i]`` of a letter of rec becomes bit ``new_ranks[i]`` of the
+    letter of the result.  Renaming letters keeps a syntactic recognizer
+    syntactic, so only the element numbering (BFS from the letter images)
+    has to be redone."""
+    h = rec.morphism
+    width = len(ranks)
+    images = []
+    for letter in h.alphabet:
+        old = ["0"] * width
+        for r, nr in zip(ranks, new_ranks):
+            old[r] = letter[nr]
+        images.append(h.images[int("".join(old), 2)])
+    table = h.semigroup.table
+    morphism, renum = bfs_numbered(h.alphabet, images,
+                                   lambda gens: table[:, gens])
+    order = np.argsort(renum)
+    return Recognizer(morphism, PairSet(rec.accepting.bits[np.ix_(order,
+                                                                  order)]),
+                      "strong")
+
+
 class Compiler:
     """Bottom-up compiler that builds each subformula once up to renaming.
 
-    Every node yields the minimized recognizer of its language over 2^fv,
-    fv in sorted order, so two nodes whose free variables, renamed by rank,
-    give equal ``_alpha_key`` share one recognizer.
+    Every node yields the syntactic recognizer of its language over 2^fv,
+    fv in sorted order, numbered as ``minimize`` numbers it.  So
+    complementing a node only takes the linked pairs outside its accepting
+    set: a language and its complement have one syntactic congruence.  Two
+    nodes whose free variables, ranked in ``_canonical_order``, give equal
+    ``_alpha_key`` are equal up to a renaming, and share one build: where
+    the renaming moves the variables' places in the sorted order, the
+    stored recognizer's letters are permuted and renumbered
+    (``_renamed``).  A first-order variable is only intersected with the
+    one-position constraint before its projection if the body does not
+    already guarantee it (``_guarded``).
     """
 
     def __init__(self, *, audit=False):
         self.audit = audit
-        self._memo: Dict[tuple, Recognizer] = {}
+        # alpha key -> {ranks of the canonical order in sorted fv: rec}
+        self._memo: Dict[tuple, Dict[tuple, Recognizer]] = {}
+        self._singletons: Dict[tuple, Recognizer] = {}
 
     def _mini(self, rec: Recognizer) -> Recognizer:
         return minimize(rec, audit=self.audit)
@@ -499,11 +579,11 @@ class Compiler:
         return self._mini(buchi_to_strong(aut))
 
     def singleton(self, variables, v) -> Recognizer:
-        key = ("singleton", len(variables), sorted(variables).index(v))
-        rec = self._memo.get(key)
+        key = (len(variables), sorted(variables).index(v))
+        rec = self._singletons.get(key)
         if rec is None:
             aut = _singleton_buchi(variables, v)
-            rec = self._memo[key] = self._mini(buchi_to_strong(aut))
+            rec = self._singletons[key] = self._mini(buchi_to_strong(aut))
         return rec
 
     def compile(self, phi: Formula) -> Recognizer:
@@ -512,18 +592,28 @@ class Compiler:
     def _go(self, phi: Formula):
         """(recognizer, sorted free variables) of phi."""
         fv = tuple(sorted(free_vars(phi)))
+        order = _canonical_order(phi)
         key = _alpha_key(phi, {v: ("free", i, is_second_order(v))
-                               for i, v in enumerate(fv)})
-        rec = self._memo.get(key)
+                               for i, v in enumerate(order)})
+        ranks = tuple(fv.index(v) for v in order)
+        built = self._memo.setdefault(key, {})
+        rec = built.get(ranks)
         if rec is None:
-            rec = self._memo[key] = self._build(phi, fv)
+            if built:
+                first_ranks, first = next(iter(built.items()))
+                rec = _renamed(first, first_ranks, ranks)
+            else:
+                rec = self._build(phi, fv)
+            built[ranks] = rec
         return rec, fv
 
     def _build(self, phi: Formula, fv) -> Recognizer:
         if isinstance(phi, (Less, Succ, In)):
             return self.atomic(phi, fv)
         if isinstance(phi, Not):
-            return complement(self._go(phi.body)[0], audit=self.audit)
+            sub = self._go(phi.body)[0]
+            lp = linked_pairs(sub.morphism.semigroup)
+            return Recognizer(sub.morphism, lp - sub.accepting, "strong")
         if isinstance(phi, (And, Or)):
             # both operands pulled straight onto 2^fv: one closure
             h, (p, q) = pullback(var_alphabet(fv), [
@@ -535,7 +625,8 @@ class Compiler:
             sub, sfv = self._go(phi.body)
             if phi.var not in sfv:
                 return sub
-            if not is_second_order(phi.var):
+            if not is_second_order(phi.var) \
+                    and phi.var not in _guarded(phi.body):
                 sub = intersect(sub, self.singleton(sfv, phi.var),
                                 audit=self.audit)
             return project(sub, _erasing_map(sfv, fv), audit=self.audit)

@@ -164,6 +164,29 @@ def initial_partition(q: PairSet):
     return class_of
 
 
+def bfs_numbered(alphabet, images, right_columns):
+    """The morphism with letter images ``images``, numbered by BFS from them.
+
+    ``images`` are ids of the elements of a semigroup that they generate,
+    and ``right_columns(gens)`` gives its right-Cayley rows ``x * g`` of
+    every element x, one column per id of ``gens``: the distinct images in
+    order of first appearance.  Elements are renumbered in the order
+    ``cayley_bfs`` finds them, so that the numbering depends only on the
+    morphism and not on the ids it came with.  Returns the renumbered
+    morphism and ``renum``, which maps old ids to new ones.
+    """
+    gens = list(dict.fromkeys(images))
+    rc = right_columns(gens)
+    m = len(rc)
+    order, _, _ = cayley_bfs(rc, gens)
+    if len(order) != m:
+        raise NotClosed("semigroup is not generated by the letter images")
+    renum = np.empty(m, dtype=np.int64)
+    renum[order] = np.arange(m)
+    sg = Semigroup.from_right_cayley(renum[rc[order]], range(len(gens)))
+    return Morphism(alphabet, sg, [int(renum[x]) for x in images]), renum
+
+
 def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     """Minimize a recognizer onto the syntactic morphism of [P].
 
@@ -192,19 +215,11 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     # letter images so that equal inputs yield identical element numbering
     _, rep_arr, tmp_of = np.unique(part.class_of, return_index=True,
                                    return_inverse=True)
-    m = len(rep_arr)
-    tmp_images = [int(tmp_of[x]) for x in morphism.images]
-    tmp_gens = list(dict.fromkeys(tmp_images))
-    tmp_rc = tmp_of[table[np.ix_(rep_arr, rep_arr[tmp_gens])]]
-    order, _, _ = cayley_bfs(tmp_rc, tmp_gens)
-    if len(order) != m:
-        raise NotClosed("quotient is not generated by the letter images")
-    renum = np.empty(m, dtype=np.int64)
-    renum[order] = np.arange(m)
-    quotient = Semigroup.from_right_cayley(renum[tmp_rc[order]],
-                                           range(len(tmp_gens)))
-    new_images = [int(renum[x]) for x in tmp_images]
-    new_morphism = Morphism(morphism.alphabet, quotient, new_images)
+    new_morphism, renum = bfs_numbered(
+        morphism.alphabet, [int(tmp_of[x]) for x in morphism.images],
+        lambda gens: tmp_of[table[np.ix_(rep_arr, rep_arr[gens])]])
+    quotient = new_morphism.semigroup
+    m = quotient.size
     projection = renum[tmp_of].astype(np.int64)
     new_bits = np.zeros((m, m), dtype=bool)
     rows, cols = np.nonzero(rec.accepting.bits)

@@ -177,6 +177,47 @@ def cyclic_group_file(n, corrupt=None):
         + [" ".join(map(str, row)) for row in rows] + ["accept:", ""])
 
 
+def test_table_row_errors_name_the_row_line():
+    # the rows of a full table are parsed as one block; any error still
+    # names the line of the row at fault, as a row-by-row parse does
+    n = 12
+    good = cyclic_group_file(n)
+    lines = good.splitlines()
+    first = lines.index("table: full") + 1  # 0-based index of row 0
+
+    def with_row(s, text):
+        out = list(lines)
+        out[first + s] = text
+        return "\n".join(out) + "\n"
+
+    row = lines[first + 5].split()
+    for token in ("x", "1-2", "1.0", "-"):
+        bad = with_row(5, " ".join(row[:3] + [token] + row[4:]))
+        line, msg = parse_error_line(bad)
+        assert "integers for table row" in msg and line == first + 6, token
+    line, msg = parse_error_line(with_row(3, " ".join(lines[first + 3]
+                                                      .split()[1:])))
+    assert "expected %d integers" % n in msg and line == first + 4
+    # a short row and a long row that balance out in the block's total
+    short = with_row(2, "0  1 2 3 4 5 6 7 8 9 10")
+    out = short.splitlines()
+    out[first + 4] = out[first + 4] + "\t4"
+    line, msg = parse_error_line("\n".join(out) + "\n")
+    assert "got %d" % (n - 1) in msg and line == first + 3
+    # rows running into the 'accept:' line or the end of the file
+    cut = "\n".join(lines[:first + n - 1] + lines[first + n:]) + "\n"
+    line, msg = parse_error_line(cut)
+    assert "integers for table row" in msg and line == first + n
+    line, msg = parse_error_line("\n".join(lines[:first + 4]) + "\n")
+    assert "unexpected end of file" in msg
+    # entries past int32 are out of range, not an overflow
+    line, msg = parse_error_line(with_row(0, " ".join(["3000000000"] * n)))
+    assert "out of range" in msg and line == first + n
+    # other whitespace and comments still parse, row by row
+    spaced = with_row(1, "\t".join(lines[first + 1].split()) + "  # c")
+    assert same_recognizer(loads_recognizer(spaced), loads_recognizer(good))
+
+
 def test_large_non_associative_table_is_rejected(tmp_path):
     # one entry off in a 210-element group: (4 * 1) * 7 = 13 but
     # 4 * (1 * 7) = 12; every element is still generated by 1

@@ -1,17 +1,20 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from omegasem import (MsoSyntaxError, UPWord, compile_formula, evaluate,
                       member, parse)
+from omegasem import buchi, langops, mso, syntactic
 from omegasem.formats import dumps_recognizer
-from omegasem.langops import intersect, inverse_project, union
+from omegasem.langops import (complement, intersect, inverse_project,
+                              language_included, project, union)
 from omegasem.mso import (FAMILIES, And, Compiler, Exists, In, Less, Not, Or,
-                          Succ, _erasing_map, chi_formula, free_vars,
-                          miniscope, phi_formula, psi_formula,
-                          recognizer_stats, sample_models, table_row,
-                          var_alphabet)
+                          Succ, _erasing_map, _guarded, chi_formula,
+                          free_vars, is_second_order, miniscope, phi_formula,
+                          psi_formula, recognizer_stats, sample_models,
+                          table_row, var_alphabet)
 
 from conftest import random_upword
 
@@ -266,13 +269,136 @@ def test_renamed_subformulas_share_one_recognizer():
     a, afv = c._go(parse("A x. E y. (x < y & y in X1)"))
     b, bfv = c._go(parse("A z. E u. (z < u & u in X7)"))
     assert a is b and afv == ("X1",) and bfv == ("X7",)
-    # operands of & and | are unordered; the order of free variables is not
+    # operands of & and | are unordered
     left, _ = c._go(parse("x < y & y in X"))
     assert c._go(parse("y in X & x < y"))[0] is left
-    assert c._go(parse("x < y"))[0] is not c._go(parse("y < x"))[0]
+    # a renaming that swaps the free variables' sorted order reuses the
+    # entry through a permutation of the letters' bits
+    less = c._go(parse("x < y"))[0]
+    entries = len(c._memo)
+    swapped = c._go(parse("y < x"))[0]
+    assert len(c._memo) == entries
+    assert dumps_recognizer(swapped) != dumps_recognizer(less)
+    assert dumps_recognizer(swapped) == \
+        dumps_recognizer(Compiler()._go(parse("y < x"))[0])
     # bound variables are told apart by their binding depth
     later = c._go(parse("E x. E y. (x < y & y in X)"))[0]
     assert c._go(parse("E x. E y. (y < x & y in X)"))[0] is not later
+
+
+def table1_formulas(k_max):
+    return [fam(k) for k in range(2, k_max + 1) for fam in FAMILIES.values()]
+
+
+def test_complement_needs_no_minimisation():
+    # every compiled recognizer is syntactic, so flipping its accepting set
+    # is what complement (which minimises) returns
+    rng = random.Random(1107)
+    formulas = table1_formulas(3) + [
+        random_formula(rng, fo_pool=("x", "y", "z"),
+                       so_pool=("X1", "X2", "X3"), depth=4)
+        for _ in range(25)]
+    for phi in formulas:
+        want = dumps_recognizer(complement(compile_formula(phi)))
+        assert dumps_recognizer(compile_formula(Not(phi))) == want, phi
+        assert dumps_recognizer(Compiler()._go(Not(phi))[0]) == want, phi
+
+
+def rename(phi, sigma):
+    """phi with its free second-order variables renamed by ``sigma``."""
+    if isinstance(phi, In):
+        return In(phi.x, sigma.get(phi.X, phi.X))
+    if isinstance(phi, (Less, Succ)):
+        return phi
+    if isinstance(phi, Not):
+        return Not(rename(phi.body, sigma))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(rename(phi.left, sigma), rename(phi.right, sigma))
+    return Exists(phi.var, rename(phi.body, sigma))
+
+
+def test_sharing_up_to_any_renaming_is_exact(monkeypatch):
+    renamed = []
+    real = mso._renamed
+    monkeypatch.setattr(mso, "_renamed",
+                        lambda *args: renamed.append(args) or real(*args))
+    rng = random.Random(3101)
+    names = ("X1", "X2", "X3")
+    formulas = [psi_formula(3), chi_formula(3)]
+    while len(formulas) < 8:
+        phi = random_formula(rng, fo_pool=("x", "y", "z"), so_pool=names,
+                             depth=4)
+        if free_vars(phi) == set(names):
+            formulas.append(phi)
+    for phi in formulas:
+        for perm in itertools.permutations(names):
+            if perm == names:
+                continue
+            c = Compiler()
+            c.compile(phi)
+            psi = rename(phi, dict(zip(names, perm)))
+            assert dumps_recognizer(c.compile(psi)) == \
+                dumps_recognizer(Compiler().compile(psi)), (phi, perm)
+    # some hit moves three bits in a cycle, where a permutation and its
+    # inverse differ
+    assert any(len(old) == 3 and all(a != b for a, b in zip(old, new))
+               for _, old, new in renamed)
+    # psi's wrap-around conjunct reuses the first one through a permutation
+    renamed.clear()
+    compile_formula(psi_formula(3))
+    assert renamed
+
+
+def test_guarded_variables_need_no_singleton_product():
+    rng = random.Random(2203)
+    formulas = table1_formulas(3) + [
+        random_formula(rng, fo_pool=("x", "y", "z"),
+                       so_pool=("X1", "X2"), depth=4)
+        for _ in range(30)]
+    # nodes as written too: miniscoping splits away most of the | whose
+    # operands guard different variables
+    nodes = dict.fromkeys(node for phi in formulas
+                          for root in (phi, miniscope(phi))
+                          for node in subformulas(root))
+    checked = 0
+    for node in nodes:
+        guarded = sorted(_guarded(node))
+        if not guarded:
+            continue
+        rec, fv = Compiler()._go(node)
+        for v in guarded:
+            assert not is_second_order(v) and v in fv
+            single = Compiler().singleton(fv, v)
+            assert language_included(rec, single).included, (node, v)
+            route = project(intersect(rec, single),
+                            _erasing_map(fv, set(fv) - {v}))
+            assert dumps_recognizer(Compiler()._go(Exists(v, node))[0]) \
+                == dumps_recognizer(route), (node, v)
+            checked += 1
+    assert checked >= 100
+
+
+def test_table1_pass_operation_counts(monkeypatch):
+    # one pass over the nine mso-table1 formulas (k = 2..4); before free
+    # complements, sharing up to any renaming and guarded variables it
+    # made 150 minimisations and 124 closures
+    calls = {"minimise": 0, "close": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(syntactic, "syntactic_morphism",
+                        counting("minimise", syntactic.syntactic_morphism))
+    close = counting("close", langops.close_generators)
+    monkeypatch.setattr(langops, "close_generators", close)
+    monkeypatch.setattr(buchi, "close_generators", close)
+    for phi in table1_formulas(4):
+        compile_formula(phi)
+    assert 0 < calls["minimise"] <= 74
+    assert 0 < calls["close"] <= 74
 
 
 # SHA-256 of dumps_recognizer and the triple, computed before the rewrite
