@@ -198,9 +198,10 @@ def preimages(images, size):
 
 
 def group_rows(packed):
-    """Ids of identical rows of a bit matrix packed to bytes, by first
-    occurrence.  Returns ``(ids, count)``.  Hashing packed rows beats
-    lexicographic row sorting.
+    """Ids of identical rows of a C-contiguous 2-D array (a bit matrix
+    packed to bytes, or rows of class ids), by first occurrence.  Returns
+    ``(ids, count)``.  Hashing the rows' bytes beats lexicographic row
+    sorting.
     """
     ids = np.empty(packed.shape[0], dtype=np.int64)
     seen = {}

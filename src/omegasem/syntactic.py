@@ -3,9 +3,13 @@
 Given a conjugation-closed accepting set P over h: A+ -> S, the maximal set
 Q with [Q] = [P] is Q = {(s, t) : (s f, f) in P where f is the idempotent
 power of t}.  The syntactic congruence is the coarsest congruence refining
-the relation that identifies elements with equal Q-rows and Q-columns; it is
-computed by partition refinement with the smaller-half strategy.  The
-quotient morphism is the syntactic morphism of [P].
+the relation that identifies elements with equal Q-rows and Q-columns.  It
+is computed by Moore rounds: each element's class is refined by the classes
+of its products with every letter image on both sides, in one array pass per
+round, until a round adds no class.  If two rounds have not settled, Hopcroft's
+partition refinement with the smaller-half strategy computes it from the
+initial partition instead.  The quotient morphism is the syntactic morphism
+of [P].
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from .semigroup import (Semigroup, cayley_bfs, close_generators,
 
 
 _GATHER_ENTRIES = 1 << 22
+
+# Moore rounds tried before falling back to Hopcroft: one refining round and
+# one that proves stability settle every minimisation of the MSO compiler
+_MOORE_ROUNDS = 2
 
 
 def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
@@ -149,8 +157,8 @@ class RefinablePartition:
 class SyntacticResult:
     recognizer: Recognizer        # minimized, mode 'strong'
     projection: np.ndarray        # old element -> new element
-    maximal: PairSet              # maximal pair set over the input morphism
-    split_work: int               # elements touched by while-loop Splits
+    split_work: int               # elements touched by Hopcroft's Splits;
+                                  # 0 when the Moore rounds settle
     n_initial_classes: int
 
 
@@ -187,6 +195,50 @@ def bfs_numbered(alphabet, images, right_columns):
     return Morphism(alphabet, sg, [int(renum[x]) for x in images]), renum
 
 
+def _moore(table, letters, class_of, rounds):
+    """Refine ``class_of`` by at most ``rounds`` Moore rounds.
+
+    A round groups the rows (class of s, classes of s a and of a s for each
+    letter image a).  A round that adds no class proves the partition stable
+    under every generator on both sides, that is a congruence, and then the
+    coarsest one below the partition it started from.  Returns
+    ``(class_of, stable)``.
+    """
+    count = int(class_of.max()) + 1
+    k = len(letters)
+    rows = np.empty((len(class_of), 1 + 2 * k), dtype=np.int32)
+    for _ in range(rounds):
+        rows[:, 0] = class_of
+        rows[:, 1:1 + k] = class_of[table[:, letters]]
+        rows[:, 1 + k:] = class_of[table[letters, :]].T
+        class_of, new_count = group_rows(rows)
+        if new_count == count:
+            return class_of, True
+        count = new_count
+    return class_of, False
+
+
+def _hopcroft(table, letters, initial):
+    """The coarsest congruence below ``initial`` by Hopcroft's refinement.
+
+    Returns ``(class_of, split_work)``, where ``split_work`` counts the
+    elements touched by Splits: at most 2 |A'| n log2 n for the |A'| letter
+    images.
+    """
+    n = len(initial)
+    part = RefinablePartition(initial)
+    # preimage lists x h(a)^-1 and h(a)^-1 x for each letter image h(a)
+    pres = [preimages(side, n) for x in letters
+            for side in (table[:, x], table[x, :])]
+    while part.worklist:
+        # a list, not the view: the splits reorder the class segments
+        members = part.members(part.pop()).tolist()
+        for order, start in pres:
+            part.split([s for t in members
+                        for s in order[start[t]:start[t + 1]]])
+    return part.class_of, part.split_work
+
+
 def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     """Minimize a recognizer onto the syntactic morphism of [P].
 
@@ -195,25 +247,19 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     ``audit`` a non-closed P raises ``NotClosed``.
     """
     morphism = rec.morphism
-    sg = morphism.semigroup
-    n = sg.size
-    q = maximal_pair_set(morphism, rec.accepting, audit=audit)
-    initial = initial_partition(q)
-    part = RefinablePartition(initial)
-    part.split_work = 0  # count only while-loop work
-    table = sg.table
-    # preimage lists x h(a)^-1 and h(a)^-1 x for each letter image h(a)
-    pres = [preimages(side, n) for x in sorted(set(morphism.images))
-            for side in (table[:, x], table[x, :])]
-    while part.worklist:
-        # a list, not the view: the splits reorder the class segments
-        members = part.members(part.pop()).tolist()
-        for order, start in pres:
-            part.split([s for t in members
-                        for s in order[start[t]:start[t + 1]]])
+    table = morphism.semigroup.table
+    letters = sorted(set(morphism.images))
+    initial = initial_partition(
+        maximal_pair_set(morphism, rec.accepting, audit=audit))
+    class_of, stable = _moore(table, letters, initial, _MOORE_ROUNDS)
+    split_work = 0
+    if not stable:
+        # from the initial partition, so that the split work does not
+        # depend on the rounds tried first
+        class_of, split_work = _hopcroft(table, letters, initial)
     # quotient under the stable partition, renumbered by BFS from the
     # letter images so that equal inputs yield identical element numbering
-    _, rep_arr, tmp_of = np.unique(part.class_of, return_index=True,
+    _, rep_arr, tmp_of = np.unique(class_of, return_index=True,
                                    return_inverse=True)
     new_morphism, renum = bfs_numbered(
         morphism.alphabet, [int(tmp_of[x]) for x in morphism.images],
@@ -236,7 +282,7 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         if not is_conjugation_closed(new_morphism, accepting):
             raise NotClosed("projected accepting set is not closed")
     result = Recognizer(new_morphism, accepting, "strong")
-    return SyntacticResult(result, projection, q, part.split_work,
+    return SyntacticResult(result, projection, split_work,
                            int(initial.max()) + 1)
 
 

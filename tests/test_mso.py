@@ -381,8 +381,10 @@ def test_guarded_variables_need_no_singleton_product():
 def test_table1_pass_operation_counts(monkeypatch):
     # one pass over the nine mso-table1 formulas (k = 2..4); before free
     # complements, sharing up to any renaming and guarded variables it
-    # made 150 minimisations and 124 closures
-    calls = {"minimise": 0, "close": 0}
+    # made 150 minimisations and 124 closures; every minimisation settles
+    # within the Moore rounds, so none falls back to Hopcroft or builds a
+    # preimage index
+    calls = {"minimise": 0, "close": 0, "hopcroft": 0, "preimages": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -395,10 +397,16 @@ def test_table1_pass_operation_counts(monkeypatch):
     close = counting("close", langops.close_generators)
     monkeypatch.setattr(langops, "close_generators", close)
     monkeypatch.setattr(buchi, "close_generators", close)
+    monkeypatch.setattr(syntactic, "_hopcroft",
+                        counting("hopcroft", syntactic._hopcroft))
+    monkeypatch.setattr(syntactic, "preimages",
+                        counting("preimages", syntactic.preimages))
     for phi in table1_formulas(4):
         compile_formula(phi)
     assert 0 < calls["minimise"] <= 74
     assert 0 < calls["close"] <= 74
+    assert calls["hopcroft"] == 0
+    assert calls["preimages"] == 0
 
 
 # SHA-256 of dumps_recognizer and the triple, computed before the rewrite

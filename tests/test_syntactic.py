@@ -11,7 +11,9 @@ from omegasem import (NotClosed, PairSet, Recognizer, adversarial_fixture,
                       universal_recognizer, weak_to_strong)
 from omegasem.langops import language_equivalent
 from omegasem.mso import FAMILIES, compile_formula
-from omegasem.syntactic import t_semigroup_values, _t_multiply
+from omegasem.syntactic import (_MOORE_ROUNDS, _hopcroft, _moore,
+                                initial_partition, t_semigroup_values,
+                                _t_multiply)
 from omegasem.semigroup import Semigroup, close_generators
 
 from conftest import (random_recognizer, random_upword, section5_morphism)
@@ -131,6 +133,59 @@ def test_split_work_bound(rng):
         a = len(rec.alphabet)
         bound = 2 * a * n * max(math.log2(n), 1)
         assert result.split_work <= bound
+
+
+def refinement_input(rec):
+    """``(table, letters, initial)`` as ``syntactic_morphism`` refines them."""
+    h = rec.morphism
+    initial = initial_partition(maximal_pair_set(h, rec.accepting))
+    return h.semigroup.table, sorted(set(h.images)), initial
+
+
+def closed_adversarial(n):
+    """The adversarial fixture with its designated pairs closed."""
+    h, designated = adversarial_fixture(n)
+    return Recognizer(h, close_under_conjugation(h, designated), "strong")
+
+
+def same_partition(a, b):
+    """Whether two class-id arrays name the same partition."""
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) \
+        == len(set(b.tolist()))
+
+
+def test_hopcroft_split_work_bound(rng):
+    # the inputs of test_split_work_bound, most of which the Moore rounds
+    # settle before Hopcroft runs: the bound is checked on Hopcroft itself
+    for _ in range(20):
+        rec = strongify(random_recognizer(rng, max_size=20))
+        _, split_work = _hopcroft(*refinement_input(rec))
+        n = rec.morphism.semigroup.size
+        a = len(rec.alphabet)
+        assert split_work <= 2 * a * n * max(math.log2(n), 1)
+
+
+def test_moore_rounds_agree_with_hopcroft(rng):
+    recs = [strongify(random_recognizer(rng, max_size=20))
+            for _ in range(20)]
+    recs += [closed_adversarial(2), closed_adversarial(3)]
+    for rec in recs:
+        table, letters, initial = refinement_input(rec)
+        moore, stable = _moore(table, letters, initial, len(initial) + 1)
+        assert stable
+        hopcroft, _ = _hopcroft(table, letters, initial)
+        assert same_partition(moore, hopcroft)
+
+
+def test_adversarial_fixture_takes_hopcroft_fallback():
+    # the pinned minimize-adversarial split work at n = 3: the Moore rounds
+    # do not settle, and Hopcroft starts from the initial partition
+    rec = closed_adversarial(3)
+    table, letters, initial = refinement_input(rec)
+    assert not _moore(table, letters, initial, _MOORE_ROUNDS)[1]
+    result = syntactic_morphism(rec, audit=True)
+    assert result.split_work == 359
+    assert result.recognizer.morphism.semigroup.size == 14
 
 
 def test_t_semigroup_sizes():
