@@ -59,31 +59,36 @@ class BuchiAutomaton:
         return np.where(two, np.int8(2), m)
 
 
-def _profile_mul(m, n):
-    """Product of transition profiles over {0, 1, 2}.
-
-    The boolean matmuls go through float32 so they hit BLAS; on profile
-    semigroups with thousands of elements this multiply dominates.
-    """
-    a = (m >= 1).astype(np.float32)
-    b = (n >= 1).astype(np.float32)
-    exist = (a @ b) > 0
-    two = (((m == 2).astype(np.float32) @ b) > 0) \
-        | ((a @ (n == 2).astype(np.float32)) > 0)
-    return (exist.astype(np.int8) + two.astype(np.int8))
-
-
 def buchi_to_strong(aut: BuchiAutomaton) -> Recognizer:
     """A strong recognizer of L(aut) over the transition-profile semigroup.
 
-    A linked pair (s, e) is accepting iff some run starting in an initial
-    state follows s and then loops on e through a final state.
+    Profiles are closed as the bytes of int8 matrices, each times all the
+    letter profiles in two float32 matmuls, which BLAS runs.  A linked pair
+    (s, e) is accepting iff some run starting in an initial state follows s
+    and then loops on e through a final state.
     """
-    values = [aut.letter_matrix(a) for a in aut.alphabet]
-    sg, seeds, elements = close_generators(values, _profile_mul,
-                                           key=lambda v: v.tobytes())
+    n = aut.n_states
+    values = [aut.letter_matrix(a).tobytes() for a in aut.alphabet]
+    gens = list(dict.fromkeys(values))
+    # cols[p, j*n + q] = entry (p, q) of generator j
+    cols = np.frombuffer(b"".join(gens), dtype=np.int8).reshape(
+        len(gens), n, n).transpose(1, 0, 2).reshape(n, len(gens) * n)
+    path = (cols >= 1).astype(np.float32)
+    # x g has a 2 where x has a 2 before a path of g, or a path before a 2
+    via_final = np.concatenate([path, (cols == 2).astype(np.float32)])
+
+    def right(x):
+        m = np.frombuffer(x, dtype=np.int8).reshape(n, n)
+        a = (m >= 1).astype(np.float32)
+        b = np.concatenate([m == 2, a], axis=1).astype(np.float32)
+        out = ((a @ path) > 0).astype(np.int8) + ((b @ via_final) > 0)
+        return [out[:, j * n:(j + 1) * n].tobytes()
+                for j in range(len(gens))]
+
+    sg, seeds, elements = close_generators(values, right)
     morphism = Morphism(aut.alphabet, sg, seeds)
-    profiles = np.stack(elements)
+    profiles = np.frombuffer(b"".join(elements),
+                             dtype=np.int8).reshape(sg.size, n, n)
     # reach[s, q]: s leads from an initial state to q; loops[e, q]: e loops
     # on q through a final state
     reach = (profiles[:, aut.initial, :] >= 1).any(axis=1)

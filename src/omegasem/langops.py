@@ -56,15 +56,18 @@ def pullback(alphabet, parts):
     and recognizes, over h, the preimage of L(rec_i).
     """
     recs = [weak_to_strong(rec) for rec, _ in parts]
-    tables = [rec.morphism.semigroup.table for rec in recs]
     values = [tuple(int(rec.morphism.image(letters[a]))
                     for rec, (_, letters) in zip(recs, parts))
               for a in alphabet]
+    gens = list(dict.fromkeys(values))
+    # cols[i][s][j] = s * (component i of generator j), in S_i
+    cols = [rec.morphism.semigroup.table[:, list(c)].tolist()
+            for rec, c in zip(recs, zip(*gens))]
 
-    def mul(x, y):
-        return tuple([int(t[s, u]) for t, s, u in zip(tables, x, y)])
+    def right(x):
+        return list(zip(*[c[s] for c, s in zip(cols, x)]))
 
-    sg, seeds, elements = close_generators(values, mul)
+    sg, seeds, elements = close_generators(values, right)
     lp = linked_pairs(sg).bits
     comps = np.asarray(elements).T
     return Morphism(alphabet, sg, seeds), [
@@ -154,28 +157,35 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
         raise AlphabetMismatch("letter map source does not match recognizer")
     h = rec.morphism
     table = h.semigroup.table
-    idx = {a: i for i, a in enumerate(h.alphabet)}
+    n = h.semigroup.size
     fibers = lmap.fibers()
-    values = []
+    values = []  # subsets of S as bitmasks
     for b in lmap.target:
         if not fibers[b]:
             raise UnknownLetter("target letter %r has no preimage" % (b,))
-        values.append(tuple(sorted({int(h.images[idx[a]])
-                                    for a in fibers[b]})))
+        values.append(sum(1 << t for t in {h.image(a) for a in fibers[b]}))
+    gens = [[t for t in range(n) if g >> t & 1] for g in dict.fromkeys(values)]
+    # field j of rows[t] (bits j*n to j*n + n - 1) is t G_j; OR them over X
+    rows = [sum(1 << b for b in {j * n + row[t] for j, ts in enumerate(gens)
+                                 for t in ts}) for row in table.tolist()]
 
-    def mul(x, y):
-        return tuple(np.unique(table[np.ix_(x, y)]).tolist())
+    def right(x):
+        acc = 0
+        while x:
+            low = x & -x
+            acc |= rows[low.bit_length() - 1]
+            x ^= low
+        return [acc >> (j * n) & ((1 << n) - 1) for j in range(len(gens))]
 
-    sg, seeds, elements = close_generators(values, mul)
-    new_h = Morphism(tuple(lmap.target), sg, seeds)
-    pbits = rec.accepting.bits
-    lp = linked_pairs(sg)
-    bits = np.zeros((sg.size, sg.size), dtype=bool)
-    for (s, e) in lp.pairs():
-        xs, es = elements[s], elements[e]
-        if pbits[np.ix_(xs, es)].any():
-            bits[s, e] = True
-    out = Recognizer(new_h, PairSet(bits), "strong")
+    sg, seeds, elements = close_generators(values, right)
+    # m[X, t] = 1 iff t is in X; M P M^T > 0 at (X, E) iff P meets X x E
+    m = np.unpackbits(np.frombuffer(
+        b"".join(x.to_bytes((n + 7) // 8, "little") for x in elements),
+        dtype=np.uint8).reshape(sg.size, -1), axis=1, count=n,
+        bitorder="little").astype(np.float32)
+    hit = (m @ rec.accepting.bits.astype(np.float32) @ m.T) > 0
+    out = Recognizer(Morphism(tuple(lmap.target), sg, seeds),
+                     PairSet(linked_pairs(sg).bits & hit), "strong")
     return minimize(out, audit=audit)
 
 

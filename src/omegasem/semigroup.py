@@ -4,9 +4,9 @@ Elements are integer indices into a full |S| x |S| table.  There is one
 build path: a semigroup is given by its right Cayley graph, and
 ``Semigroup.from_right_cayley`` fills the table column by column along a
 breadth-first search from the generators.  ``close_generators`` closes a
-set of generator values under an abstract product and hands the right
-Cayley rows it discovered to that path; its discovery order is the search
-order, so equal inputs always yield identical tables.
+set of generator values, one element times all generators per call, and
+hands the right Cayley rows it discovered to that path; its discovery
+order is the search order, so equal inputs always yield identical tables.
 
 Checks sit where a table comes from outside.  ``Semigroup(table,
 generators)`` takes a full table and checks its range, that the generators
@@ -23,7 +23,7 @@ it is asked for and cached on the semigroup as read-only arrays.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -258,52 +258,37 @@ def _fill_table(rc, generators, order, parent, parent_gen):
     return table
 
 
-def close_generators(values: Sequence, multiply: Callable, *, key=None,
-                     cap: int = DEFAULT_CAP):
-    """Close ``values`` under ``multiply`` and build the full table.
+def close_generators(values: Sequence, right, *, cap: int = DEFAULT_CAP):
+    """Close the hashable ``values`` under products and build the full table.
 
-    ``values`` may contain duplicates (e.g. two letters with the same image).
-    ``key`` maps a value to a hashable fingerprint when values themselves are
-    not hashable.  Returns ``(semigroup, seed_indices, elements)`` where
-    ``seed_indices[i]`` is the element index of ``values[i]`` and ``elements``
-    lists the closed values in discovery order.
+    ``right(x)`` returns the list of ``x * g`` over the distinct generators
+    g, in ``dict.fromkeys(values)`` order.  ``values`` may contain duplicates
+    (e.g. two letters with the same image).  Returns ``(semigroup,
+    seed_indices, elements)`` where ``seed_indices[i]`` is the element index
+    of ``values[i]`` and ``elements`` lists the closed values in discovery
+    order.
 
     Only the |S| * |generators| right-Cayley products are computed; the
     discovery loop visits elements in ``cayley_bfs`` order, so
     ``from_right_cayley`` keeps the numbering and fills in the rest.
     """
-    if key is None:
-        key = lambda v: v
-    elements = []
     index = {}
-    seed_indices = []
-    for v in values:
-        k = key(v)
-        if k not in index:
-            index[k] = len(elements)
-            elements.append(v)
-        seed_indices.append(index[k])
+    seed_indices = [index.setdefault(v, len(index)) for v in values]
+    elements = list(index)
     ngen = len(elements)
     if ngen == 0:
         raise ValueError("at least one generator is required")
     rc_rows = []  # rc_rows[s][j] = s * gen_j
-    i = 0
-    while i < len(elements):
-        row = []
-        for j in range(ngen):
-            p = multiply(elements[i], elements[j])
-            k = key(p)
-            t = index.get(k)
-            if t is None:
-                t = len(elements)
-                if t >= cap:
+    for x in elements:  # grows while it is read: breadth-first order
+        products = right(x)
+        for p in products:
+            if p not in index:
+                if len(index) >= cap:
                     raise ClosureCapExceeded(
                         "closure exceeded cap of %d elements" % cap)
-                index[k] = t
+                index[p] = len(index)
                 elements.append(p)
-            row.append(t)
-        rc_rows.append(row)
-        i += 1
+        rc_rows.append([index[p] for p in products])
     sg = Semigroup.from_right_cayley(rc_rows, range(ngen))
     return sg, seed_indices, elements
 

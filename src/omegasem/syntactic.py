@@ -351,7 +351,8 @@ def adversarial_fixture(n):
 
     values = [(None, 1), (None, (0, 0, 0)), (1, None), ((0, 0, 0), None)]
     alphabet = ("a", "b", "A", "B")
-    sg, seeds, elements = close_generators(values, smul)
+    sg, seeds, elements = close_generators(
+        values, lambda x: [smul(x, g) for g in values])
     index = {v: i for i, v in enumerate(elements)}
     pairs = []
     half = [x for x in range(1 << n) if x & 1]  # subsets containing 0

@@ -33,10 +33,12 @@ def random_transformation_morphism(rng, *, degree=None, n_letters=None,
         values = [tuple(rng.randrange(d) for _ in range(d))
                   for _ in letters]
 
-        def compose(f, g):
-            return tuple(g[f[i]] for i in range(d))
+        gens = list(dict.fromkeys(values))
 
-        sg, seeds, _ = close_generators(values, compose, cap=10000)
+        def right(f):
+            return [tuple(g[f[i]] for i in range(d)) for g in gens]
+
+        sg, seeds, _ = close_generators(values, right, cap=10000)
         if max_size is None or sg.size <= max_size:
             return Morphism(letters, sg, seeds)
 

@@ -298,7 +298,9 @@ def test_criterion_7_complexity_counters():
                        random_pair_set(rng, h.semigroup))
 
     # the worst-case fixture: marked transformation-table semigroup, n = 4
-    base, _, _ = close_generators(t_semigroup_values(4), _t_multiply(4))
+    gens, mul = t_semigroup_values(4), _t_multiply(4)
+    base, _, _ = close_generators(gens,
+                                  lambda x: [mul(x, g) for g in gens])
     assert base.size == 260
     Semigroup(base.table, base.generators)  # associativity, by Light's test
     h, designated = adversarial_fixture(4)

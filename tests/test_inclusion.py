@@ -101,7 +101,7 @@ def test_visited_set_grows_with_the_search():
     # Z_300 on one letter: a visited set over all of S x S^1 x S^1 would
     # take 27 MB, while the search reaches a few hundred triples
     n = 300
-    sg, seeds, elements = close_generators([1], lambda a, b: (a + b) % n)
+    sg, seeds, elements = close_generators([1], lambda a: [(a + 1) % n])
     h = Morphism(("a",), sg, seeds)
     p = PairSet.from_pairs(n, [(seeds[0], elements.index(0))])
     linked_pairs(sg)  # cached before tracing

@@ -3,12 +3,15 @@ import random
 import pytest
 
 from omegasem import (AlphabetMismatch, LetterMap, PairSet, Recognizer,
-                      UPWord, UnknownLetter, complement, intersect,
-                      inverse_project, is_empty, language_equivalent,
-                      language_included, member, project, union,
+                      UPWord, UnknownLetter, close_under_conjugation,
+                      complement, intersect, inverse_project, is_empty,
+                      langops, language_equivalent, language_included,
+                      linked_pairs, member, project, union,
                       universal_recognizer)
 
-from conftest import (random_recognizer, random_upword, section5_morphism)
+from conftest import (random_pair_set, random_recognizer,
+                      random_transformation_morphism, random_upword,
+                      section5_morphism)
 
 
 def test_complement_membership(rng):
@@ -129,6 +132,48 @@ def test_project_inverse_project_galois(rng):
     rec = random_recognizer(rng, max_size=5, alphabet=lmap.source)
     back = inverse_project(project(rec, lmap), lmap)
     assert language_included(rec, back).included
+
+
+def test_project_accepting_set_matches_definition(monkeypatch):
+    # before minimisation, (X, E) is accepting iff it is linked and some
+    # accepting (t, f) has t in X and f in E; subsets are rebuilt here from
+    # each element's word, pair by pair
+    built = []
+    monkeypatch.setattr(langops, "minimize",
+                        lambda rec, audit=False: built.append(rec) or rec)
+    rng = random.Random(40)
+    for _ in range(40):
+        source = ("a", "b", "c", "d", "e")[:rng.randint(2, 5)]
+        h = random_transformation_morphism(rng, max_size=16, alphabet=source)
+        p = random_pair_set(rng, h.semigroup, density=0.1)
+        rec = Recognizer(h, close_under_conjugation(h, p), "strong")
+        target = ("x", "y", "z")[:rng.randint(1, min(3, len(source) - 1))]
+        images = list(target) + [rng.choice(target)
+                                 for _ in source[len(target):]]
+        rng.shuffle(images)
+        lmap = LetterMap(source, target, dict(zip(source, images)))
+        project(rec, lmap)
+        out = built.pop()
+        table = rec.morphism.semigroup.table
+        fiber = {b: {rec.morphism.image(a) for a in source
+                     if lmap.mapping[a] == b} for b in target}
+        sg = out.morphism.semigroup
+        gen_subsets = [fiber[target[out.morphism.images.index(g)]]
+                       for g in sg.generators]
+        subsets = []
+        for s in range(sg.size):
+            x = None
+            for j in sg.word_of(s):
+                x = gen_subsets[j] if x is None else \
+                    {int(table[t, g]) for t in x for g in gen_subsets[j]}
+            subsets.append(x)
+        accepting = rec.accepting
+        for s in range(sg.size):
+            for e in range(sg.size):
+                expected = (s, e) in linked_pairs(sg) and any(
+                    (t, f) in accepting for t in subsets[s]
+                    for f in subsets[e])
+                assert ((s, e) in out.accepting) == expected
 
 
 def test_language_included_cross_morphism():

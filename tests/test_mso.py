@@ -424,6 +424,11 @@ LARGER_ROWS = {
                                      "a630d8db00c37f312696579377ac1e0d"),
     ("chi", 6): ((183, 934, 220), "8803c12a9b49f307996aeb568661281b"
                                   "13f05bc6e7d3fb3b0d1959b6bc3dbbed"),
+    # closures above 180 elements, which table1 never reaches
+    ("chi", 7): ((499, 3573, 681), "220fc33f03bb2835de9b6a75a2caf6e2"
+                                   "bf6fbf161314848ba30179ec7798f28d"),
+    ("phi", 8): ((256, 6561, 1), "291bd1222701c8597b3863ef180f94d6"
+                                 "81605f02df25222cf385c61240226eee"),
 }
 
 

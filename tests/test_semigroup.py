@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,8 @@ def test_close_generators_matches_direct_table():
         return tuple(g[x] for x in f)
 
     values = [(1, 0, 0), (0, 2, 1)]
-    sg, seeds, elements = close_generators(values, compose)
+    sg, seeds, elements = close_generators(
+        values, lambda f: [compose(f, g) for g in values])
     assert seeds == [0, 1]
     # closure reproduces function composition everywhere
     for i, f in enumerate(elements):
@@ -61,14 +64,57 @@ def test_close_generators_matches_direct_table():
             assert elements[sg.mul(i, j)] == compose(f, g)
 
 
+def test_close_generators_matches_reference_bfs():
+    # a plain breadth-first search with a binary product: the closure must
+    # number, seed and multiply exactly as it does
+    def compose(f, g):
+        return tuple(g[x] for x in f)
+
+    def reference(values):
+        elements = list(dict.fromkeys(values))
+        gens = list(elements)
+        parent = [-1] * len(gens)
+        parent_gen = [-1] * len(gens)
+        s = 0
+        while s < len(elements):
+            for j, g in enumerate(gens):
+                p = compose(elements[s], g)
+                if p not in elements:
+                    elements.append(p)
+                    parent.append(s)
+                    parent_gen.append(j)
+            s += 1
+        number = {v: i for i, v in enumerate(elements)}
+        table = [[number[compose(x, y)] for y in elements] for x in elements]
+        seeds = [number[v] for v in values]
+        return elements, seeds, table, parent, parent_gen
+
+    rng = random.Random(30)
+    for trial in range(30):
+        d = rng.randint(2, 4)
+        values = [tuple(rng.randrange(d) for _ in range(d))
+                  for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 0:  # two letters with one value
+            values.insert(rng.randint(0, len(values)), rng.choice(values))
+        gens = list(dict.fromkeys(values))
+        sg, seeds, elements = close_generators(
+            values, lambda f: [compose(f, g) for g in gens])
+        ref = reference(values)
+        assert (elements, seeds) == (ref[0], ref[1])
+        assert sg.table.tolist() == ref[2]
+        assert sg.parent.tolist() == ref[3]
+        assert sg.parent_gen.tolist() == ref[4]
+
+
 def test_close_generators_duplicate_values_share_element():
-    sg, seeds, _ = close_generators([2, 2, 3], lambda a, b: (a * b) % 10)
+    sg, seeds, _ = close_generators([2, 2, 3],
+                                    lambda a: [(a * b) % 10 for b in (2, 3)])
     assert seeds[0] == seeds[1] != seeds[2]
 
 
 def test_close_generators_cap():
     with pytest.raises(ClosureCapExceeded):
-        close_generators([1], lambda a, b: a + b, cap=10)
+        close_generators([1], lambda a: [a + 1], cap=10)
 
 
 def test_green_classes_rectangular_band():

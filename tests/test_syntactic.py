@@ -191,7 +191,9 @@ def test_adversarial_fixture_takes_hopcroft_fallback():
 def test_t_semigroup_sizes():
     # |T(n)| = n^2 2^n + n
     for n in (2, 3, 4):
-        sg, _, _ = close_generators(t_semigroup_values(n), _t_multiply(n))
+        gens, mul = t_semigroup_values(n), _t_multiply(n)
+        sg, _, _ = close_generators(gens,
+                                    lambda x: [mul(x, g) for g in gens])
         assert sg.size == n ** 2 * 2 ** n + n
         Semigroup(sg.table, sg.generators)  # associativity, by Light's test
 
