@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     UnknownLetter,
 )
-from .semigroup import MonoidView, Semigroup, close_generators
+from .semigroup import Semigroup, close_generators
 from .morphism import (
     Morphism,
     PairSet,
@@ -90,7 +90,7 @@ __all__ = [
     "MsoSyntaxError", "NonAssociative", "NotClosed",
     "NotLinkedPair", "OmegasemError", "ParseError",
     "UnknownLetter",
-    "MonoidView", "Semigroup", "close_generators",
+    "Semigroup", "close_generators",
     "Morphism", "PairSet", "Recognizer", "UPWord", "is_empty",
     "linked_pairs", "member", "universal_recognizer",
     "ConjugacyResult", "UnionFind", "close_under_conjugation",

@@ -21,7 +21,7 @@ from .conjugacy import close_under_conjugation
 from .errors import AlphabetMismatch
 from .inclusion import inclusion_test
 from .morphism import Morphism, PairSet, Recognizer, UPWord, linked_pairs
-from .semigroup import MonoidView, close_generators
+from .semigroup import close_generators
 
 
 @dataclass
@@ -102,8 +102,8 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     """A Büchi automaton for [P]; states are pairs (s, e), s in S^1, e in E."""
     h = rec.morphism
     sg = h.semigroup
-    mul = MonoidView(sg).mul
-    one = sg.size
+    mul = sg.monoid_table.item
+    one = sg.size  # the identity of S^1
     idems = [int(e) for e in np.nonzero(sg.idempotents)[0]]
     states = {}
     for e in idems:

@@ -16,7 +16,7 @@ from typing import Optional
 from .conjugacy import close_under_conjugation
 from .errors import NotLinkedPair
 from .morphism import Morphism, PairSet, Recognizer, UPWord, linked_pairs
-from .semigroup import MonoidView, preimages
+from .semigroup import preimages
 
 
 @dataclass
@@ -34,16 +34,16 @@ def inclusion_test(morphism: Morphism, p_set: PairSet,
     """Decide [P] subseteq [Q]; on failure produce a witness word."""
     sg = morphism.semigroup
     n = sg.size
-    one = n
+    one = n  # the identity of S^1 in ``monoid_table``
     lp = linked_pairs(sg)
     for ps in (p_set, q_set):
         if not ps.issubset(lp):
             raise NotLinkedPair("pair set contains a non-linked pair")
-    monoid = MonoidView(sg)
-    mul = monoid.mul
+    table = sg.monoid_table
+    mul = table.item
     qbits = q_set.bits
     # x a^-1 = {p in S^1 : p h(a) = x}; the identity lands last in h(a) a^-1
-    letters = [(a, ha, preimages(monoid.table[:, ha], n + 1))
+    letters = [(a, ha, preimages(table[:, ha], n + 1))
                for a, ha in zip(morphism.alphabet, morphism.images)]
     stack = []
     parent = {}  # visited (s, x, y) -> (letter, successor) for the v-word

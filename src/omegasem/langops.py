@@ -151,10 +151,15 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
     the original recognizer has t in X and f in E.  The closed P suffices:
     a pair (t, t') of the maximal set with t in X and t' in E gives the
     pair (t f, f) of P, where f is the idempotent power of t', and X E = X.
+
+    A weak input is minimised first: the Büchi round trip of
+    ``weak_to_strong`` can inflate its semigroup many times over, and the
+    powerset closure is exponential in that size.
     """
-    rec = weak_to_strong(rec)
     if lmap.source != rec.morphism.alphabet:
         raise AlphabetMismatch("letter map source does not match recognizer")
+    if rec.mode == "weak":
+        rec = minimize(rec, audit=audit)
     h = rec.morphism
     table = h.semigroup.table
     n = h.semigroup.size

@@ -53,6 +53,8 @@ class Morphism:
         self.images = tuple(int(x) for x in images)
         if len(self.images) != len(self.alphabet):
             raise ValueError("one image per letter required")
+        if not set(semigroup.generators) <= set(self.images):
+            raise ValueError("letter images miss a generator")
         self._letter_index = {a: i for i, a in enumerate(self.alphabet)}
         # first letter mapping to each generator element, for witness words
         self._gen_letter = {}
@@ -165,12 +167,6 @@ class Recognizer:
     @property
     def alphabet(self):
         return self.morphism.alphabet
-
-    def stats(self):
-        sg = self.morphism.semigroup
-        return {"size": sg.size,
-                "linked_pairs": len(linked_pairs(sg)),
-                "accepting": len(self.accepting)}
 
 
 def universal_recognizer(morphism: Morphism) -> Recognizer:

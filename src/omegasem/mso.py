@@ -645,8 +645,8 @@ def compile_formula(phi, *, audit=False):
 
 def recognizer_stats(rec: Recognizer):
     """(|S|, |F|, |P|) of a recognizer, as reported by the experiments."""
-    s = rec.stats()
-    return (s["size"], s["linked_pairs"], s["accepting"])
+    sg = rec.morphism.semigroup
+    return sg.size, len(linked_pairs(sg)), len(rec.accepting)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ checks only that the generators reach every element and trusts the rows:
 the library builds them from products it computed itself, and the
 recognizer loader runs ``check_associativity`` on the table it rebuilt.
 
-Derived data (idempotents, linked pairs, idempotent powers, Green's R- and
-L-classes) is computed from the table with array operations the first time
-it is asked for and cached on the semigroup as read-only arrays.
+Derived data (idempotents, linked pairs, idempotent powers, the table of
+the monoid S^1, Green's R- and L-classes) is computed from the table with
+array operations the first time it is asked for and cached on the
+semigroup as read-only arrays.
 """
 
 from __future__ import annotations
@@ -151,6 +152,16 @@ class Semigroup:
             m[todo] += 1
             todo = todo[~idem[e[todo]]]
         return _frozen(e), _frozen(m)
+
+    @cached_property
+    def monoid_table(self):
+        """The table of S^1: a fresh identity adjoined at index ``size``,
+        even when the semigroup already has a neutral element."""
+        n = self.size
+        table = np.empty((n + 1, n + 1), dtype=np.int32)
+        table[:n, :n] = self.table
+        table[n, :] = table[:, n] = np.arange(n + 1)
+        return _frozen(table)
 
     # -- Cayley graphs and Green's relations ----------------------------------
 
@@ -292,26 +303,3 @@ def close_generators(values: Sequence, right, *, cap: int = DEFAULT_CAP):
     sg = Semigroup.from_right_cayley(rc_rows, range(ngen))
     return sg, seed_indices, elements
 
-
-class MonoidView:
-    """The monoid S^1: a fresh identity adjoined to a semigroup.
-
-    The identity always gets index ``size - 1`` even when the semigroup
-    already has a neutral element.  ``table`` is the multiplication table of
-    S^1: the semigroup's table with the identity's row and column appended.
-    """
-
-    def __init__(self, semigroup: Semigroup):
-        self.semigroup = semigroup
-        n = semigroup.size
-        self.one = n
-        self.table = np.empty((n + 1, n + 1), dtype=np.int32)
-        self.table[:n, :n] = semigroup.table
-        self.table[n, :] = self.table[:, n] = np.arange(n + 1)
-
-    @property
-    def size(self):
-        return self.semigroup.size + 1
-
-    def mul(self, s, t):
-        return int(self.table[s, t])

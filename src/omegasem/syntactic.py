@@ -2,7 +2,9 @@
 
 Given a conjugation-closed accepting set P over h: A+ -> S, the maximal set
 Q with [Q] = [P] is Q = {(s, t) : (s f, f) in P where f is the idempotent
-power of t}.  The syntactic congruence is the coarsest congruence refining
+power of t}.  Column t of Q is the column of the idempotent f, so Q is read
+through its |E| idempotent columns, an |S| x |E| matrix, and never built
+densely.  The syntactic congruence is the coarsest congruence refining
 the relation that identifies elements with equal Q-rows and Q-columns.  It
 is computed by Moore rounds: each element's class is refined by the classes
 of its products with every letter image on both sides, in one array pass per
@@ -26,33 +28,26 @@ from .semigroup import (Semigroup, cayley_bfs, close_generators,
                         group_rows, preimages)
 
 
-_GATHER_ENTRIES = 1 << 22
-
 # Moore rounds tried before falling back to Hopcroft: one refining round and
 # one that proves stability settle every minimisation of the MSO compiler
 _MOORE_ROUNDS = 2
 
 
 def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
-                     audit=False) -> PairSet:
-    """The maximal Q in S x S with [Q] = [P]; P must be conjugation-closed.
+                     audit=False) -> np.ndarray:
+    """The idempotent columns of the maximal Q in S x S with [Q] = [P].
 
-    Q agrees with P on the linked pairs, so only the rows and columns that
-    seed minimisation need the pairs of Q outside them.
+    Returns the |S| x |E| bool array ``qe[s, j] = P[s e_j, e_j]`` over the
+    idempotents e_j in increasing order; ``Q[s, t]`` is the column of the
+    idempotent power of t.  P must be conjugation-closed.  Q agrees with P
+    on the linked pairs, so only the rows and columns that seed
+    minimisation need the pairs of Q outside them.
     """
     if audit and not is_conjugation_closed(morphism, accepting):
         raise NotClosed("accepting set is not closed under conjugation")
     sg = morphism.semigroup
-    n = sg.size
-    fpow, _ = sg.idempotent_powers
-    q = np.empty((n, n), dtype=bool)
-    # Q[:, t] = P[table[:, f], f] with f = fpow[t], gathered in column blocks
-    # so that the int32 index array stays small next to Q itself
-    step = max(1, _GATHER_ENTRIES // n)
-    for lo in range(0, n, step):
-        f = fpow[lo:lo + step]
-        q[:, lo:lo + step] = accepting.bits[sg.table[:, f], f]
-    return PairSet(q)
+    idem = np.flatnonzero(sg.idempotents)
+    return accepting.bits[sg.table[:, idem], idem]
 
 
 class RefinablePartition:
@@ -159,15 +154,17 @@ class SyntacticResult:
     projection: np.ndarray        # old element -> new element
     split_work: int               # elements touched by Hopcroft's Splits;
                                   # 0 when the Moore rounds settle
-    n_initial_classes: int
 
 
-def initial_partition(q: PairSet):
-    """Class ids of the row/column-signature relation of Q (vectorized)."""
-    bits = q.bits
-    row_ids, _ = group_rows(np.packbits(bits, axis=1))
-    # columns packed in place: no |S|^2 copy of the transpose
-    col_ids, n_cols = group_rows(np.packbits(bits, axis=0).T)
+def initial_partition(semigroup: Semigroup, qe: np.ndarray):
+    """Class ids of the row/column-signature relation of Q, read from its
+    idempotent columns ``qe`` (see ``maximal_pair_set``), numbered as if Q
+    were dense: the column of t is the packed column of its idempotent
+    power."""
+    row_ids, _ = group_rows(np.packbits(qe, axis=1))
+    col = np.cumsum(semigroup.idempotents) - 1
+    fpow, _ = semigroup.idempotent_powers
+    col_ids, n_cols = group_rows(np.packbits(qe, axis=0).T[col[fpow]])
     _, class_of = np.unique(row_ids * n_cols + col_ids, return_inverse=True)
     return class_of
 
@@ -250,6 +247,7 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     table = morphism.semigroup.table
     letters = sorted(set(morphism.images))
     initial = initial_partition(
+        morphism.semigroup,
         maximal_pair_set(morphism, rec.accepting, audit=audit))
     class_of, stable = _moore(table, letters, initial, _MOORE_ROUNDS)
     split_work = 0
@@ -282,8 +280,7 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         if not is_conjugation_closed(new_morphism, accepting):
             raise NotClosed("projected accepting set is not closed")
     result = Recognizer(new_morphism, accepting, "strong")
-    return SyntacticResult(result, projection, split_work,
-                           int(initial.max()) + 1)
+    return SyntacticResult(result, projection, split_work)
 
 
 def minimize(rec: Recognizer, *, audit=False) -> Recognizer:

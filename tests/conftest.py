@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from omegasem import (MonoidView, Morphism, PairSet, Recognizer, Semigroup,
+from omegasem import (Morphism, PairSet, Recognizer, Semigroup,
                       close_generators, linked_pairs)
 
 
@@ -74,7 +74,7 @@ def brute_force_conjugacy(morphism):
     sg = morphism.semigroup
     n = sg.size
     one = n
-    mul = MonoidView(sg).mul
+    mul = sg.monoid_table.item
 
     pairs = linked_pairs(sg).pairs()
     index = {p: i for i, p in enumerate(pairs)}

@@ -19,7 +19,7 @@ from omegasem.buchi import buchi_accepts_lasso
 from omegasem.cli import table1_lines
 from omegasem.conjugacy import close_under_conjugation
 from omegasem.mso import chi_formula, phi_formula, psi_formula
-from omegasem.semigroup import MonoidView, Semigroup, close_generators
+from omegasem.semigroup import Semigroup, close_generators
 from omegasem.syntactic import (_t_multiply, adversarial_fixture, minimize,
                                 syntactic_morphism, t_semigroup_values)
 
@@ -158,27 +158,29 @@ def test_criterion_4_minimization_properties():
 class LassoOracle:
     def __init__(self, rec: Recognizer):
         self.rec = rec
-        self.mv = MonoidView(rec.morphism.semigroup)
+        sg = rec.morphism.semigroup
+        self.one = sg.size  # the identity of S^1
+        self.mul = sg.monoid_table.item
         self.images = dict(zip(rec.morphism.alphabet, rec.morphism.images))
         self.pairs = list(rec.accepting.pairs())
         self._masks = {}
 
     def start(self, a):
         g = self.images[a]
-        return (g, frozenset({(self.mv.one, g)}))
+        return (g, frozenset({(self.one, g)}))
 
     def extend(self, state, a):
         g = self.images[a]
         hv, splits = state
-        mul = self.mv.mul
+        mul = self.mul
         grown = {(x, mul(y, g)) for (x, y) in splits} | {(hv, g)}
         return (mul(hv, g), frozenset(grown))
 
     def _powers(self, hv):
-        out, cur = [], self.mv.one
+        out, cur = [], self.one
         while cur not in out:
             out.append(cur)
-            cur = self.mv.mul(cur, hv)
+            cur = self.mul(cur, hv)
         return out
 
     def mask(self, state):
@@ -186,7 +188,7 @@ class LassoOracle:
         if state in self._masks:
             return self._masks[state]
         hv, splits = state
-        mul = self.mv.mul
+        mul = self.mul
         pows = self._powers(hv)
         cls = sorted(splits)
         n = self.rec.morphism.semigroup.size

@@ -174,3 +174,63 @@ def test_every_definition_is_referenced():
             if name not in used:
                 found.append("%s:%d: %s" % (path.name, line, name))
     assert not found, "definitions nothing refers to:\n" + "\n".join(found)
+
+
+def dataclass_fields(source):
+    """``(line, name)`` of every field a ``@dataclass`` class declares."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and "dataclass" in {
+                ast.unparse(getattr(d, "func", d)).split(".")[-1]
+                for d in node.decorator_list}:
+            found += [(item.lineno, item.target.id) for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+    return sorted(found)
+
+
+def field_reads(source):
+    """Every name a module reads as a field: attribute loads, keyword
+    arguments and identifier string constants (``getattr``, lookups)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def test_unread_field_detector():
+    lib = ("from dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\n"
+           "class A:\n"
+           "    read: int\n"
+           "    dead: int\n"
+           "    keyword: int = 0\n"
+           "@dataclass\n"
+           "class B:\n"
+           "    looked_up: str\n"
+           "class C:\n"
+           "    plain: int\n"
+           "def f(a, dead):\n"
+           "    a.dead = dead\n"
+           "    return a.read, A(1, 2, keyword=3), getattr(a, 'looked_up')\n")
+    assert [f for f in dataclass_fields(lib) if f[1] not in field_reads(lib)
+            ] == [(5, "dead")]
+
+
+def test_every_dataclass_field_is_read():
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used |= field_reads(path.read_text(encoding="utf-8"))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, name in dataclass_fields(path.read_text(encoding="utf-8")):
+            if name not in used:
+                found.append("%s:%d: %s" % (path.name, line, name))
+    assert not found, "dataclass fields nothing reads:\n" + "\n".join(found)

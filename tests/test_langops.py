@@ -7,7 +7,8 @@ from omegasem import (AlphabetMismatch, LetterMap, PairSet, Recognizer,
                       complement, intersect, inverse_project, is_empty,
                       langops, language_equivalent, language_included,
                       linked_pairs, member, project, union,
-                      universal_recognizer)
+                      universal_recognizer, weak_to_strong)
+from omegasem.formats import dumps_recognizer
 
 from conftest import (random_pair_set, random_recognizer,
                       random_transformation_morphism, random_upword,
@@ -174,6 +175,32 @@ def test_project_accepting_set_matches_definition(monkeypatch):
                     (t, f) in accepting for t in subsets[s]
                     for f in subsets[e])
                 assert ((s, e) in out.accepting) == expected
+
+
+def test_project_minimises_weak_input_first(monkeypatch):
+    # the Büchi round trip inflates this 7-element weak recognizer, and the
+    # powerset of the inflated semigroup does not fit in memory
+    rng = random.Random(7)
+    recs = [random_recognizer(rng, max_size=14, alphabet=("a", "b", "c"))
+            for _ in range(36)]
+    closed = []
+    close = langops.close_generators
+    monkeypatch.setattr(langops, "close_generators", lambda *args, **kw:
+                        closed.append(close(*args, **kw)) or closed[-1])
+    lmap = LetterMap(("a", "b", "c"), ("x", "y"),
+                     {"a": "y", "b": "x", "c": "x"})
+    project(recs[35], lmap)
+    assert [sg.size for sg, _, _ in closed] == [22]
+
+
+def test_project_of_weak_input_is_unchanged_by_minimising(rng):
+    # minimised output is canonical, so the shortcut changes no byte
+    lmap = LetterMap(("a", "b", "c"), ("x", "y"),
+                     {"a": "x", "b": "y", "c": "x"})
+    for _ in range(40):
+        rec = random_recognizer(rng, max_size=8, alphabet=lmap.source)
+        assert (dumps_recognizer(project(rec, lmap))
+                == dumps_recognizer(project(weak_to_strong(rec), lmap)))
 
 
 def test_language_included_cross_morphism():

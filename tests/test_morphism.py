@@ -32,6 +32,12 @@ def test_morphism_evaluate_and_rep_word():
         assert h.evaluate(h.rep_word(s)) == s
 
 
+def test_morphism_rejects_images_missing_a_generator():
+    # the images generate only {0}, so rep_word(1) would have no letter
+    with pytest.raises(ValueError):
+        Morphism(("a",), Semigroup([[0, 1], [1, 0]], [1]), [0])
+
+
 def test_linked_pairs_definition(rng):
     for _ in range(15):
         h = random_transformation_morphism(rng, max_size=40)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from omegasem import (ClosureCapExceeded, MonoidView, NonAssociative,
+from omegasem import (ClosureCapExceeded, NonAssociative,
                       Semigroup, close_generators)
 from omegasem.semigroup import preimages
 
@@ -142,7 +142,7 @@ def brute_force_green(sg, kind):
     y t = s.
     """
     n = sg.size
-    table = MonoidView(sg).table
+    table = sg.monoid_table
     if kind == "L":
         table = table.T
     reach = [set(table[s].tolist()) for s in range(n)]
@@ -168,17 +168,20 @@ def test_green_classes_match_definition(rng):
             assert sg.green_classes(kind)[0] is class_of
 
 
-def test_monoid_view_identity():
+def test_monoid_table_identity():
     sg = z_mod(3)
-    m = MonoidView(sg)
-    assert m.size == 4
+    table = sg.monoid_table
+    one = sg.size
+    assert one == 3
     for s in range(3):
-        assert m.mul(m.one, s) == s == m.mul(s, m.one)
-    assert m.mul(1, 2) == 0
-    assert m.mul(m.one, m.one) == m.one
-    assert m.table.shape == (4, 4)
-    assert np.array_equal(m.table[:3, :3], sg.table)
-    assert list(m.table[m.one]) == list(m.table[:, m.one]) == [0, 1, 2, 3]
+        assert table.item(one, s) == s == table.item(s, one)
+    assert table.item(1, 2) == 0
+    assert table.item(one, one) == one
+    assert table.shape == (4, 4)
+    assert np.array_equal(table[:3, :3], sg.table)
+    assert list(table[one]) == list(table[:, one]) == [0, 1, 2, 3]
+    assert not table.flags.writeable
+    assert sg.monoid_table is table
 
 
 def test_idempotent_power_is_idempotent_everywhere(rng):

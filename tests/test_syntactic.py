@@ -14,7 +14,7 @@ from omegasem.mso import FAMILIES, compile_formula
 from omegasem.syntactic import (_MOORE_ROUNDS, _hopcroft, _moore,
                                 initial_partition, t_semigroup_values,
                                 _t_multiply)
-from omegasem.semigroup import Semigroup, close_generators
+from omegasem.semigroup import Semigroup, close_generators, group_rows
 
 from conftest import (random_recognizer, random_upword, section5_morphism)
 
@@ -30,13 +30,55 @@ def strongify(rec):
     return Recognizer(rec.morphism, closed, "strong")
 
 
+def dense_q(sg, qe):
+    """Q from its idempotent columns: column t is that of t's idempotent
+    power."""
+    col = np.cumsum(sg.idempotents) - 1
+    fpow, _ = sg.idempotent_powers
+    return PairSet(qe[:, col[fpow]])
+
+
+def q_test_inputs(rng):
+    recs = [strongify(random_recognizer(rng, max_size=12))
+            for _ in range(20)]
+    return recs + [compile_formula(fam(2)) for fam in FAMILIES.values()]
+
+
+def test_maximal_pair_set_matches_definition(rng):
+    for rec in q_test_inputs(rng):
+        sg = rec.morphism.semigroup
+        qe = maximal_pair_set(rec.morphism, rec.accepting)
+        assert qe.shape == (sg.size, int(sg.idempotents.sum()))
+        q = dense_q(sg, qe)
+        p = rec.accepting
+        for s in range(sg.size):
+            for t in range(sg.size):
+                f = t
+                while sg.mul(f, f) != f:
+                    f = sg.mul(f, t)
+                assert ((s, t) in q) == ((sg.mul(s, f), f) in p)
+
+
+def test_initial_partition_matches_dense_signatures(rng):
+    # the class labels are those of the dense row and column signatures,
+    # numbered by first occurrence: Hopcroft's split work depends on them
+    for rec in q_test_inputs(rng) + [closed_adversarial(2)]:
+        sg = rec.morphism.semigroup
+        bits = dense_q(sg, maximal_pair_set(rec.morphism, rec.accepting)).bits
+        row_ids, _ = group_rows(np.packbits(bits, axis=1))
+        col_ids, n_cols = group_rows(np.packbits(bits, axis=0).T)
+        _, dense = np.unique(row_ids * n_cols + col_ids, return_inverse=True)
+        assert np.array_equal(initial_partition(
+            sg, maximal_pair_set(rec.morphism, rec.accepting)), dense)
+
+
 def test_maximal_pair_set_is_language_maximal(rng):
     # Q contains exactly the pairs whose single-pair language is inside [P]
     from omegasem import inclusion_test
     for _ in range(15):
         rec = strongify(random_recognizer(rng, max_size=10))
         h = rec.morphism
-        full = maximal_pair_set(h, rec.accepting)
+        full = dense_q(h.semigroup, maximal_pair_set(h, rec.accepting))
         lp = linked_pairs(h.semigroup)
         n = h.semigroup.size
         for pair in lp.pairs():
@@ -53,7 +95,8 @@ def test_maximal_pair_set_of_closed_set_adds_no_linked_pair(rng):
     recs += [compile_formula(fam(2)) for fam in FAMILIES.values()]
     for rec in recs:
         sg = rec.morphism.semigroup
-        q = maximal_pair_set(rec.morphism, rec.accepting, audit=True)
+        q = dense_q(sg, maximal_pair_set(rec.morphism, rec.accepting,
+                                         audit=True))
         assert np.array_equal(q.bits & sg.linked, rec.accepting.bits)
 
 
@@ -87,7 +130,8 @@ def test_minimize_output_is_strong(rng):
         assert is_strong(small.morphism, small.accepting).included
         # the congruence relation agrees with the accepting set on linked
         # pairs: nothing acceptable is left out
-        q = maximal_pair_set(small.morphism, small.accepting)
+        q = dense_q(small.morphism.semigroup,
+                    maximal_pair_set(small.morphism, small.accepting))
         lp = linked_pairs(small.morphism.semigroup)
         assert (q & lp) == small.accepting
 
@@ -124,6 +168,21 @@ def test_audit_rejects_non_closed_strong_input():
     assert syntactic_morphism(closed, audit=True).recognizer.accepting
 
 
+def test_projection_is_the_quotient_map(rng):
+    for _ in range(15):
+        rec = strongify(random_recognizer(rng, max_size=16))
+        result = syntactic_morphism(rec)
+        pr = result.projection
+        table = rec.morphism.semigroup.table
+        quotient = result.recognizer.morphism
+        assert np.array_equal(pr[table], quotient.semigroup.table[pr][:, pr])
+        assert tuple(pr[list(rec.morphism.images)]) == quotient.images
+        rows, cols = np.nonzero(rec.accepting.bits)
+        image = PairSet.from_pairs(quotient.semigroup.size,
+                                   zip(pr[rows], pr[cols]))
+        assert image == result.recognizer.accepting
+
+
 def test_split_work_bound(rng):
     for _ in range(20):
         # a closed P over the same morphism: the bound depends only on it
@@ -138,7 +197,8 @@ def test_split_work_bound(rng):
 def refinement_input(rec):
     """``(table, letters, initial)`` as ``syntactic_morphism`` refines them."""
     h = rec.morphism
-    initial = initial_partition(maximal_pair_set(h, rec.accepting))
+    initial = initial_partition(h.semigroup,
+                                maximal_pair_set(h, rec.accepting))
     return h.semigroup.table, sorted(set(h.images)), initial
 
 
