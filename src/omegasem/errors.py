@@ -6,7 +6,8 @@ class OmegasemError(Exception):
 
 
 class ClosureCapExceeded(OmegasemError):
-    """Raised when a generated semigroup grows past the configured cap."""
+    """Raised when a generated semigroup grows past the configured cap, or
+    when its table would need more memory than the process may use."""
 
 
 class NonAssociative(OmegasemError):

@@ -21,12 +21,20 @@ position; the constraint is enforced in the atom automata, and again when
 the variable is existentially quantified over a body that does not
 guarantee it (for example one where the variable occurs only under a
 negation), so that it survives complementation.
+
+The constants of the logic (the atom recognizers, the one-position
+constraint, the alphabets 2^V and the track-erasing maps) depend only on
+a track count and the ranks of the variables, so each is built once per
+process, on first use, and shared read-only by every later compile.  A
+process pays for them once; nothing keyed by a formula is cached across
+``compile_formula`` calls.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
@@ -35,6 +43,7 @@ from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError
 from .langops import LetterMap, intersect, project, pullback
 from .morphism import PairSet, Recognizer, UPWord, linked_pairs
+from .semigroup import _frozen
 from .syntactic import bfs_numbered, minimize
 
 
@@ -251,12 +260,24 @@ class _Parser:
         self.fail("expected '<', '=' or 'in' after variable %r" % (tok,))
 
 
+def _depth_safe(fn):
+    """``fn`` raising ``MsoSyntaxError`` where a formula is nested too
+    deeply for Python's recursion limit."""
+
+    @wraps(fn)
+    def safe(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise MsoSyntaxError("formula nested too deeply") from None
+
+    return safe
+
+
+@_depth_safe
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    try:
-        out = p.formula()
-    except RecursionError:
-        raise MsoSyntaxError("formula nested too deeply") from None
+    out = p.formula()
     tok, pos = p.tokens[p.i]
     if tok is not None:
         raise MsoSyntaxError("unexpected %r after formula" % (tok,), pos)
@@ -360,6 +381,7 @@ def _core(node, positive=True) -> Formula:
     return _balanced(cls, [_core(p, positive) for p in args])
 
 
+@_depth_safe
 def miniscope(phi: Formula) -> Formula:
     """An equivalent core formula with negations and quantifiers inward.
 
@@ -378,24 +400,37 @@ def miniscope(phi: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # alphabets over variable sets
+#
+# The caches here and below are keyed by a track count and variable ranks,
+# never by a formula.  The bound only matters to a process that compiles
+# formulas of very many widths.
+
+_CACHE_SIZE = 256
 
 
 def var_alphabet(variables) -> Tuple[str, ...]:
     """Letters 2^V as bit strings in binary order; V sorted by name."""
-    vs = sorted(variables)
-    n = len(vs)
-    return tuple(format(m, "0%db" % n) if n else "-" for m in range(1 << n))
+    return _alphabet(len(tuple(variables)))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _alphabet(width: int) -> Tuple[str, ...]:
+    return tuple(format(m, "0%db" % width) if width else "-"
+                 for m in range(1 << width))
 
 
 def _erasing_map(source_vars, target_vars) -> LetterMap:
     """Letter map 2^source -> 2^target dropping the extra tracks."""
-    svs, tvs = sorted(source_vars), sorted(target_vars)
-    keep = [svs.index(v) for v in tvs]
-    src, tgt = var_alphabet(svs), var_alphabet(tvs)
-    mapping = {}
-    for a in src:
-        mapping[a] = "".join(a[i] for i in keep) if keep else tgt[0]
-    return LetterMap(src, tgt, mapping)
+    svs = sorted(source_vars)
+    return _erasing(len(svs), tuple(svs.index(v) for v in sorted(target_vars)))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _erasing(width: int, keep: Tuple[int, ...]) -> LetterMap:
+    """The letter map 2^width -> 2^len(keep) keeping the bits ``keep``."""
+    src, tgt = _alphabet(width), _alphabet(len(keep))
+    return LetterMap(src, tgt, {
+        a: "".join(a[i] for i in keep) if keep else tgt[0] for a in src})
 
 
 def _bit(letter: str, vs: List[str], v: str) -> int:
@@ -403,59 +438,73 @@ def _bit(letter: str, vs: List[str], v: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# atoms as small Büchi automata
+# atoms as small Büchi automata, compiled once per process
 
 
-def _atom_buchi(atom, variables) -> BuchiAutomaton:
-    vs = sorted(variables)
-    letters = var_alphabet(vs)
-    if isinstance(atom, In):
-        x, X = atom.x, atom.X
-        trans = []
+def _atom_buchi(kind, width: int, i: int, j: int) -> BuchiAutomaton:
+    """The atom ``kind`` over 2^width: ``x in X``, ``x < y`` or ``y = x + 1``
+    with x the track of rank i and X or y the track of rank j."""
+    letters = _alphabet(width)
+    trans = []
+    if kind is In:
         for a in letters:
-            if _bit(a, vs, x) == 0:
+            if a[i] == "0":
                 trans += [(0, a, 0), (1, a, 1)]
-            elif _bit(a, vs, X) == 1:
+            elif a[j] == "1":
                 trans.append((0, a, 1))
         return BuchiAutomaton.from_triples(2, letters, trans, [0], [1])
-    if isinstance(atom, Less):
-        x, y = atom.x, atom.y
-        trans = []
+    if kind is Less:
         for a in letters:
-            bx, by = _bit(a, vs, x), _bit(a, vs, y)
-            if bx == 0 and by == 0:
+            if a[i] == "0" and a[j] == "0":
                 trans += [(0, a, 0), (1, a, 1), (2, a, 2)]
-            elif bx == 1 and by == 0:
+            elif a[i] == "1" and a[j] == "0":
                 trans.append((0, a, 1))
-            elif bx == 0 and by == 1:
+            elif a[i] == "0" and a[j] == "1":
                 trans.append((1, a, 2))
         return BuchiAutomaton.from_triples(3, letters, trans, [0], [2])
-    if isinstance(atom, Succ):
-        x, y = atom.x, atom.y
-        trans = []
+    if kind is Succ:
         for a in letters:
-            bx, by = _bit(a, vs, x), _bit(a, vs, y)
-            if bx == 0 and by == 0:
+            if a[i] == "0" and a[j] == "0":
                 trans += [(0, a, 0), (2, a, 2)]
-            elif bx == 1 and by == 0:
+            elif a[i] == "1" and a[j] == "0":
                 trans.append((0, a, 1))
-            elif bx == 0 and by == 1:
+            elif a[i] == "0" and a[j] == "1":
                 trans.append((1, a, 2))
         return BuchiAutomaton.from_triples(3, letters, trans, [0], [2])
-    raise TypeError("not an atom: %r" % (atom,))
+    raise TypeError("not an atom: %r" % (kind,))
 
 
-def _singleton_buchi(variables, v) -> BuchiAutomaton:
-    """Words whose v-track holds at exactly one position."""
-    vs = sorted(variables)
-    letters = var_alphabet(vs)
+def _singleton_buchi(width: int, i: int) -> BuchiAutomaton:
+    """Words over 2^width whose track of rank i holds at exactly one
+    position."""
+    letters = _alphabet(width)
     trans = []
     for a in letters:
-        if _bit(a, vs, v) == 0:
+        if a[i] == "0":
             trans += [(0, a, 0), (1, a, 1)]
         else:
             trans.append((0, a, 1))
     return BuchiAutomaton.from_triples(2, letters, trans, [0], [1])
+
+
+def _constant(aut: BuchiAutomaton) -> Recognizer:
+    """The syntactic recognizer of L(aut), built with every audit check and
+    made read-only, so that one copy serves every later compile."""
+    rec = minimize(buchi_to_strong(aut), audit=True)
+    sg = rec.morphism.semigroup
+    for a in (sg.table, sg.parent, sg.parent_gen, rec.accepting.bits):
+        _frozen(a)
+    return rec
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _atom(kind, width: int, i: int, j: int) -> Recognizer:
+    return _constant(_atom_buchi(kind, width, i, j))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _singleton(width: int, i: int) -> Recognizer:
+    return _constant(_singleton_buchi(width, i))
 
 
 # ---------------------------------------------------------------------------
@@ -563,28 +612,21 @@ class Compiler:
     (``_renamed``).  A first-order variable is only intersected with the
     one-position constraint before its projection if the body does not
     already guarantee it (``_guarded``).
+
+    The memo lives for one ``compile`` call: nothing keyed by a formula or
+    a subformula outlives it.  The atoms, the one-position constraints,
+    the alphabets and the erasing maps are the only things shared across
+    calls; they depend on a track count and variable ranks alone, and each
+    is built once per process (with every ``audit`` check) and read-only.
     """
 
     def __init__(self, *, audit=False):
         self.audit = audit
         # alpha key -> {ranks of the canonical order in sorted fv: rec}
         self._memo: Dict[tuple, Dict[tuple, Recognizer]] = {}
-        self._singletons: Dict[tuple, Recognizer] = {}
 
     def _mini(self, rec: Recognizer) -> Recognizer:
         return minimize(rec, audit=self.audit)
-
-    def atomic(self, atom, variables) -> Recognizer:
-        aut = _atom_buchi(atom, variables)
-        return self._mini(buchi_to_strong(aut))
-
-    def singleton(self, variables, v) -> Recognizer:
-        key = (len(variables), sorted(variables).index(v))
-        rec = self._singletons.get(key)
-        if rec is None:
-            aut = _singleton_buchi(variables, v)
-            rec = self._singletons[key] = self._mini(buchi_to_strong(aut))
-        return rec
 
     def compile(self, phi: Formula) -> Recognizer:
         return self._go(miniscope(phi))[0]
@@ -608,8 +650,10 @@ class Compiler:
         return rec, fv
 
     def _build(self, phi: Formula, fv) -> Recognizer:
-        if isinstance(phi, (Less, Succ, In)):
-            return self.atomic(phi, fv)
+        if isinstance(phi, (Less, Succ)):
+            return _atom(type(phi), len(fv), fv.index(phi.x), fv.index(phi.y))
+        if isinstance(phi, In):
+            return _atom(In, len(fv), fv.index(phi.x), fv.index(phi.X))
         if isinstance(phi, Not):
             sub = self._go(phi.body)[0]
             lp = linked_pairs(sub.morphism.semigroup)
@@ -627,20 +671,18 @@ class Compiler:
                 return sub
             if not is_second_order(phi.var) \
                     and phi.var not in _guarded(phi.body):
-                sub = intersect(sub, self.singleton(sfv, phi.var),
+                sub = intersect(sub, _singleton(len(sfv), sfv.index(phi.var)),
                                 audit=self.audit)
             return project(sub, _erasing_map(sfv, fv), audit=self.audit)
         raise TypeError("not a formula: %r" % (phi,))
 
 
+@_depth_safe
 def compile_formula(phi, *, audit=False):
     """Compile a formula (or its source text) to a minimized recognizer."""
     if isinstance(phi, str):
         phi = parse(phi)
-    try:
-        return Compiler(audit=audit).compile(phi)
-    except RecursionError:
-        raise MsoSyntaxError("formula nested too deeply") from None
+    return Compiler(audit=audit).compile(phi)
 
 
 def recognizer_stats(rec: Recognizer):
@@ -687,6 +729,7 @@ def table_row(k: int, *, audit=False):
 # direct evaluation on ultimately periodic words (test oracle)
 
 
+@_depth_safe
 def evaluate(phi: Formula, word: UPWord, horizon: Optional[int] = None,
              assignment: Optional[Dict[str, int]] = None) -> bool:
     """Decide a formula directly on an ultimately periodic word.

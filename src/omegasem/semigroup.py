@@ -14,6 +14,9 @@ generate it, and associativity by Light's test.  ``from_right_cayley``
 checks only that the generators reach every element and trusts the rows:
 the library builds them from products it computed itself, and the
 recognizer loader runs ``check_associativity`` on the table it rebuilt.
+Before it allocates a table, ``from_right_cayley`` checks its n^2 int32
+entries against the memory this process may use (the physical memory, or
+a lower ``RLIMIT_AS``) and raises ``ClosureCapExceeded`` if they exceed it.
 
 Derived data (idempotents, linked pairs, idempotent powers, the table of
 the monoid S^1, Green's R- and L-classes) is computed from the table with
@@ -23,6 +26,8 @@ semigroup as read-only arrays.
 
 from __future__ import annotations
 
+import os
+import resource
 from functools import cached_property
 from typing import Sequence
 
@@ -31,6 +36,18 @@ import numpy as np
 from .errors import ClosureCapExceeded, NonAssociative
 
 DEFAULT_CAP = 10**7
+
+
+def _memory_limit():
+    """Bytes this process may use: the physical memory, lowered to the soft
+    ``RLIMIT_AS`` limit when that is finite."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
+
+
+# Read once, so that checking a table against it costs one comparison.
+_MEMORY_LIMIT = _memory_limit()
 
 
 class Semigroup:
@@ -257,9 +274,14 @@ def _fill_table(rc, generators, order, parent, parent_gen):
 
     Generator columns are copied from ``rc``; every other column is filled
     by reassociating, ``s * t = (s * parent[t]) * g``, in ``order``, which
-    must list each element after its parent.
+    must list each element after its parent.  Raises ``ClosureCapExceeded``
+    before allocating a table larger than this process may use.
     """
     n = rc.shape[0]
+    if 4 * n * n > _MEMORY_LIMIT:
+        raise ClosureCapExceeded(
+            "a %d-element table needs %d bytes, more than the %d this "
+            "process may use" % (n, 4 * n * n, _MEMORY_LIMIT))
     table = np.empty((n, n), dtype=np.int32)
     table[:, list(generators)] = rc
     for t in order:

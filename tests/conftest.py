@@ -14,6 +14,7 @@ import pytest
 
 from omegasem import (Morphism, PairSet, Recognizer, Semigroup,
                       close_generators, linked_pairs)
+from omegasem.semigroup import _MEMORY_LIMIT
 
 
 def random_transformation_morphism(rng, *, degree=None, n_letters=None,
@@ -54,6 +55,17 @@ def random_recognizer(rng, *, max_size=20, alphabet=None, density=0.4):
     h = random_transformation_morphism(rng, max_size=max_size,
                                        alphabet=alphabet)
     return Recognizer(h, random_pair_set(rng, h.semigroup, density), "weak")
+
+
+def oversized_inclusion_pair():
+    """Two 12-element weak recognizers whose inclusion test closes a
+    169 742-element product, whose dense table would take 107 GiB."""
+    if 4 * 169_742 ** 2 <= _MEMORY_LIMIT:
+        pytest.skip("this process may allocate the 107 GiB table")
+    rng = random.Random(1234)
+    recs = [random_recognizer(rng, max_size=12, alphabet=("a", "b"))
+            for _ in range(6)]
+    return recs[4], recs[5]
 
 
 def random_upword(rng, alphabet, max_prefix=4, max_period=4):

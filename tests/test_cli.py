@@ -8,7 +8,8 @@ from omegasem.formats import save_lettermap, save_recognizer
 from omegasem.langops import LetterMap
 from omegasem.morphism import UPWord
 
-from conftest import random_recognizer, section5_morphism
+from conftest import (oversized_inclusion_pair, random_recognizer,
+                      section5_morphism)
 
 
 @pytest.fixture
@@ -98,6 +99,14 @@ def test_include_and_equiv(run, band_files):
     assert code == 0 and out.strip() == "true"
     code, out, _ = run("equiv", full, empty)
     assert code == 1 and "witness: " in out
+
+
+def test_include_refuses_an_oversized_product_table(run, tmp_path):
+    paths = [str(tmp_path / name) for name in ("left.txt", "right.txt")]
+    for rec, path in zip(oversized_inclusion_pair(), paths):
+        save_recognizer(rec, path)
+    code, out, err = run("include", *paths)
+    assert code == 3 and out == "" and "169742-element table" in err
 
 
 def test_universal(run, band_files):

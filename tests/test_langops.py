@@ -2,17 +2,24 @@ import random
 
 import pytest
 
-from omegasem import (AlphabetMismatch, LetterMap, PairSet, Recognizer,
-                      UPWord, UnknownLetter, close_under_conjugation,
-                      complement, intersect, inverse_project, is_empty,
-                      langops, language_equivalent, language_included,
-                      linked_pairs, member, project, union,
-                      universal_recognizer, weak_to_strong)
+from omegasem import (AlphabetMismatch, ClosureCapExceeded, LetterMap,
+                      PairSet, Recognizer, UPWord, UnknownLetter,
+                      close_under_conjugation, complement, intersect,
+                      inverse_project, is_empty, langops,
+                      language_equivalent, language_included, linked_pairs,
+                      member, project, union, universal_recognizer,
+                      weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
-from conftest import (random_pair_set, random_recognizer,
-                      random_transformation_morphism, random_upword,
-                      section5_morphism)
+from conftest import (oversized_inclusion_pair, random_pair_set,
+                      random_recognizer, random_transformation_morphism,
+                      random_upword, section5_morphism)
+
+
+def test_oversized_product_table_is_refused():
+    left, right = oversized_inclusion_pair()
+    with pytest.raises(ClosureCapExceeded, match="169742-element table"):
+        language_included(left, right)
 
 
 def test_complement_membership(rng):

@@ -10,6 +10,7 @@ from omegasem import buchi, langops, mso, syntactic
 from omegasem.formats import dumps_recognizer
 from omegasem.langops import (complement, intersect, inverse_project,
                               language_included, project, union)
+from omegasem.syntactic import minimize
 from omegasem.mso import (FAMILIES, And, Compiler, Exists, In, Less, Not, Or,
                           Succ, _erasing_map, _guarded, chi_formula,
                           free_vars, is_second_order, miniscope, phi_formula,
@@ -49,6 +50,16 @@ def test_over_deep_formulas_are_syntax_errors():
         deep = Exists("x", deep)
     with pytest.raises(MsoSyntaxError, match="nested too deeply"):
         compile_formula(deep)
+    negations = In("x", "X")
+    for _ in range(3000):
+        negations = Not(negations)
+    with pytest.raises(MsoSyntaxError, match="nested too deeply"):
+        evaluate(Exists("x", negations), bitword("", "1"))
+    alternating = In("x", "X")
+    for i in range(3000):
+        alternating = (And, Or)[i % 2](alternating, In("y", "Y"))
+    with pytest.raises(MsoSyntaxError, match="nested too deeply"):
+        miniscope(alternating)
 
 
 def test_long_negation_and_conjunction_chains_compile():
@@ -368,7 +379,7 @@ def test_guarded_variables_need_no_singleton_product():
         rec, fv = Compiler()._go(node)
         for v in guarded:
             assert not is_second_order(v) and v in fv
-            single = Compiler().singleton(fv, v)
+            single = mso._singleton(len(fv), fv.index(v))
             assert language_included(rec, single).included, (node, v)
             route = project(intersect(rec, single),
                             _erasing_map(fv, set(fv) - {v}))
@@ -383,8 +394,12 @@ def test_table1_pass_operation_counts(monkeypatch):
     # complements, sharing up to any renaming and guarded variables it
     # made 150 minimisations and 124 closures; every minimisation settles
     # within the Moore rounds, so none falls back to Hopcroft or builds a
-    # preimage index
-    calls = {"minimise": 0, "close": 0, "hopcroft": 0, "preimages": 0}
+    # preimage index.  The atoms and the one-position constraint are built
+    # once per process, by the first pass; after it no Büchi automaton is
+    # converted and only the formulas' own nodes minimise.
+    clear_constants()
+    calls = {"minimise": 0, "close": 0, "profiles": 0, "hopcroft": 0,
+             "preimages": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -401,10 +416,17 @@ def test_table1_pass_operation_counts(monkeypatch):
                         counting("hopcroft", syntactic._hopcroft))
     monkeypatch.setattr(syntactic, "preimages",
                         counting("preimages", syntactic.preimages))
+    monkeypatch.setattr(mso, "buchi_to_strong",
+                        counting("profiles", mso.buchi_to_strong))
     for phi in table1_formulas(4):
         compile_formula(phi)
-    assert 0 < calls["minimise"] <= 74
-    assert 0 < calls["close"] <= 74
+    assert (calls["profiles"], calls["minimise"], calls["close"]) == \
+        (4, 57, 57)
+    calls.update(profiles=0, minimise=0, close=0)
+    for phi in table1_formulas(4):
+        compile_formula(phi)
+    assert (calls["profiles"], calls["minimise"], calls["close"]) == \
+        (0, 53, 53)
     assert calls["hopcroft"] == 0
     assert calls["preimages"] == 0
 
@@ -486,6 +508,63 @@ def test_sample_models_are_members():
     assert models
     for w in models:
         assert member(rec, w)
+
+
+# -- constants shared across compiles --------------------------------------
+
+
+def clear_constants():
+    for cache in (mso._atom, mso._singleton, mso._alphabet, mso._erasing):
+        cache.cache_clear()
+
+
+def cold(aut):
+    return dumps_recognizer(minimize(buchi.buchi_to_strong(aut)))
+
+
+def test_constants_equal_a_cold_build():
+    atoms = [(kind, 2, i, 1 - i) for kind in (In, Less, Succ) for i in (0, 1)]
+    atoms += [(Less, 1, 0, 0), (Succ, 1, 0, 0)]  # x < x and x = x + 1
+    for key in atoms:
+        assert dumps_recognizer(mso._atom(*key)) == \
+            cold(mso._atom_buchi(*key)), key
+    for width in range(1, 5):
+        for i in range(width):
+            assert dumps_recognizer(mso._singleton(width, i)) == \
+                cold(mso._singleton_buchi(width, i)), (width, i)
+
+
+def test_compile_order_does_not_show():
+    formulas = table1_formulas(3)
+    digests = []
+    for order in (formulas, formulas[::-1]):
+        clear_constants()
+        compiled = {phi: dumps_recognizer(compile_formula(phi))
+                    for phi in order}
+        digests.append([hashlib.sha256(compiled[phi].encode()).hexdigest()
+                        for phi in formulas])
+    assert digests[0] == digests[1]
+
+
+def test_constants_are_read_only():
+    clear_constants()
+    texts = ("x < y", "E y. (x < y & y in X)")
+    want = [dumps_recognizer(compile_formula(text)) for text in texts]
+    rec = compile_formula("x < y")
+    assert rec is mso._atom(Less, 2, 0, 1)
+    with pytest.raises(ValueError):
+        rec.morphism.semigroup.table[0, 0] = 1
+    with pytest.raises(ValueError):
+        rec.accepting.bits[0, 0] = True
+    assert [dumps_recognizer(compile_formula(text)) for text in texts] == want
+
+
+def test_audited_compile_after_a_plain_one():
+    # the constants were built with every audit check, and the nodes of an
+    # audited compile are still audited
+    for phi in table1_formulas(3):
+        want = dumps_recognizer(compile_formula(phi))
+        assert dumps_recognizer(compile_formula(phi, audit=True)) == want
 
 
 def test_memoized_compile_is_deterministic():

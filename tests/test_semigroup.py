@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from omegasem import (ClosureCapExceeded, NonAssociative,
                       Semigroup, close_generators)
-from omegasem.semigroup import preimages
+from omegasem.semigroup import _MEMORY_LIMIT, preimages
 
 from conftest import random_transformation_morphism
 
@@ -115,6 +116,15 @@ def test_close_generators_duplicate_values_share_element():
 def test_close_generators_cap():
     with pytest.raises(ClosureCapExceeded):
         close_generators([1], lambda a: [a + 1], cap=10)
+
+
+def test_table_beyond_the_memory_limit_is_refused():
+    # a chain s -> s + 1: its n^2 int32 table needs 160 GB at n = 200 000,
+    # more than this process may use, so the build stops before allocating
+    n = max(200_000, math.isqrt(_MEMORY_LIMIT // 4) + 1)
+    chain = np.minimum(np.arange(1, n + 1), n - 1)[:, None]
+    with pytest.raises(ClosureCapExceeded, match="element table needs"):
+        Semigroup.from_right_cayley(chain, [0])
 
 
 def test_green_classes_rectangular_band():
