@@ -99,31 +99,37 @@ def buchi_to_strong(aut: BuchiAutomaton) -> Recognizer:
 
 
 def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
-    """A Büchi automaton for [P]; states are pairs (s, e), s in S^1, e in E."""
+    """A Büchi automaton for [P]; states are pairs (s, e), s in S^1, e in E.
+
+    State (s, e) is numbered i (|S| + 1) + s, where e is the i-th
+    idempotent and s = |S| stands for the identity of S^1.  Reading a moves
+    (s, e) to (t, e) when h(a) t is s or s e, so each letter's matrix is
+    block diagonal, one (|S| + 1)^2 block per idempotent, built with array
+    operations.  The initial states are P, the final ones (1, e).
+    """
     h = rec.morphism
     sg = h.semigroup
-    mul = sg.monoid_table.item
-    one = sg.size  # the identity of S^1
-    idems = [int(e) for e in np.nonzero(sg.idempotents)[0]]
-    states = {}
-    for e in idems:
-        for s in list(range(sg.size)) + [one]:
-            states[(s, e)] = len(states)
-
-    transitions = []
-    for (s, e), i in states.items():
-        se = mul(s, e)
-        for ai, a in enumerate(h.alphabet):
-            ha = h.images[ai]
-            for t in list(range(sg.size)) + [one]:
-                hat = mul(ha, t)
-                if hat == s or hat == se:
-                    transitions.append((i, a, states[(t, e)]))
-    initial = [states[(s, e)] for (s, e) in rec.accepting.pairs()]
-    final = [states[(one, e)] for e in idems]
-    aut = BuchiAutomaton.from_triples(len(states), h.alphabet, transitions,
-                                      initial, final)
-    return _trim(aut)
+    n1 = sg.size + 1
+    mt = sg.monoid_table
+    idems = np.nonzero(sg.idempotents)[0]
+    k = len(idems)
+    n_states = k * n1
+    diag = np.arange(k)
+    targets = mt[:, idems].T[:, :, None]  # targets[i, s] = s e_i
+    row = np.arange(n1)[:, None]
+    edges = {}
+    for a, ha in zip(h.alphabet, h.images):
+        hat = mt[ha]  # h(a) t for t in S^1
+        blocks = (hat == row)[None] | (hat == targets)
+        m = np.zeros((k, n1, k, n1), dtype=bool)
+        m[diag, :, diag, :] = blocks
+        edges[a] = m.reshape(n_states, n_states)
+    s, e = np.nonzero(rec.accepting.bits)
+    initial = np.zeros(n_states, dtype=bool)
+    initial[np.searchsorted(idems, e) * n1 + s] = True
+    final = np.zeros(n_states, dtype=bool)
+    final[diag * n1 + n1 - 1] = True
+    return _trim(BuchiAutomaton(n_states, h.alphabet, edges, initial, final))
 
 
 def _trim(aut: BuchiAutomaton) -> BuchiAutomaton:
@@ -206,12 +212,14 @@ def weak_to_strong(rec: Recognizer) -> Recognizer:
     """A strong recognizer of the same language: the one weak -> strong path.
 
     Strong input is returned as is.  A weak P keeps its morphism, closed
-    under conjugation, when the closure adds no words; otherwise it takes
-    the Büchi automaton round trip.
+    under conjugation, when the closure adds no words: when it adds no
+    pair, or when ``inclusion_test`` finds the added pairs' words already
+    in [P].  Otherwise it takes the Büchi automaton round trip.
     """
     if rec.mode == "strong":
         return rec
     closed = close_under_conjugation(rec.morphism, rec.accepting)
-    if inclusion_test(rec.morphism, closed, rec.accepting).included:
+    if closed == rec.accepting or inclusion_test(
+            rec.morphism, closed, rec.accepting).included:
         return Recognizer(rec.morphism, closed, "strong")
     return buchi_to_strong(morphism_to_buchi(rec))

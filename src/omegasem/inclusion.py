@@ -1,11 +1,20 @@
 """Deciding [P] subseteq [Q] for two pair sets over one morphism.
 
-The search runs over triples (s, x, y) in S x S^1 x S^1, starting from
-(s, e, 1) for (s, e) in P and peeling letters off x from the right.  If a
-triple (s, 1, y) is reached whose Q-check failed along the way, the word
-u v^omega with u in h^-1(s) and v read off the parent chain witnesses
-non-inclusion.  At most |S| (|S|+1)^2 triples are ever visited; the
-visited set holds only those reached.
+When Q is conjugation-closed, that is strong, the decision is P subseteq Q
+(``subset_test``).  A closed Q gives one verdict on every factorisation of
+a word, so a pair (s, e) of P outside Q puts every word of h^-1(s)
+(h^-1(e))^omega outside [Q]; the witness is ``rep_word(s) rep_word(e)^omega``
+for the first such pair in row-major order.  This is the sense in which a
+strong morphism is a deterministic model.  Whether Q is closed is the
+caller's promise: a ``"strong"`` recognizer makes it (``member`` trusts it,
+and the recognizer loader checks it), and ``langops.pullback`` keeps it.
+
+For a weak Q, ``inclusion_test`` searches triples (s, x, y) in
+S x S^1 x S^1, starting from (s, e, 1) for (s, e) in P and peeling letters
+off x from the right.  If a triple (s, 1, y) is reached whose Q-check
+failed along the way, the word u v^omega with u in h^-1(s) and v read off
+the parent chain witnesses non-inclusion.  At most |S| (|S|+1)^2 triples
+are ever visited; the visited set holds only those reached.
 """
 
 from __future__ import annotations
@@ -82,13 +91,41 @@ def inclusion_test(morphism: Morphism, p_set: PairSet,
     return InclusionResult(True, None, visited)
 
 
+def subset_test(morphism: Morphism, p_set: PairSet,
+                q_set: PairSet) -> InclusionResult:
+    """Decide [P] subseteq [Q] for a conjugation-closed Q: P subseteq Q.
+
+    No triples are searched.  On failure the witness is
+    ``rep_word(s) rep_word(e)^omega`` for the first pair (s, e) of P - Q
+    in row-major order.
+    """
+    diff = (p_set - q_set).bits
+    first = int(diff.argmax())
+    if not diff.flat[first]:
+        return InclusionResult(True, None, 0)
+    s, e = divmod(first, diff.shape[1])
+    return InclusionResult(False, UPWord(morphism.rep_word(s),
+                                         morphism.rep_word(e)), 0)
+
+
 def is_strong(morphism: Morphism, accepting: PairSet) -> InclusionResult:
-    """P strongly recognizes [P] iff [closure(P)] subseteq [P]."""
+    """P strongly recognizes [P] iff [closure(P)] subseteq [P].
+
+    A closure that adds no pair settles it with no search.
+    """
     closed = close_under_conjugation(morphism, accepting)
+    if closed == accepting:
+        return InclusionResult(True, None, 0)
     return inclusion_test(morphism, closed, accepting)
 
 
 def universal(rec: Recognizer) -> InclusionResult:
-    """Decide [P] = A^omega (inclusion of the full linked-pair set)."""
-    return inclusion_test(rec.morphism, linked_pairs(rec.morphism.semigroup),
-                          rec.accepting)
+    """Decide [P] = A^omega, that is [linked pairs] subseteq [P].
+
+    A strong P is universal iff it holds every linked pair.
+    """
+    h = rec.morphism
+    lp = linked_pairs(h.semigroup)
+    if rec.mode == "strong":
+        return subset_test(h, lp, rec.accepting)
+    return inclusion_test(h, lp, rec.accepting)

@@ -8,6 +8,13 @@ the linked pairs outside P, and projection reads P over the powerset
 semigroup.  Products and preimages are one operation, ``pullback``: union,
 intersection, inclusion across two morphisms and inverse projection each
 pull their accepting sets back onto one product morphism.
+
+Inclusion and equivalence against a strong side compare accepting sets
+(``inclusion.subset_test``): a closed P2 gives one verdict on every
+factorisation of a word, so [P1] subseteq [P2] iff P1 subseteq P2.  Mode
+``"strong"`` is a promise that ``member`` already trusts and the recognizer
+loader checks.  Only a weak right side over the left side's own morphism
+is decided by ``inclusion_test``'s triple search.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .buchi import weak_to_strong
 from .errors import AlphabetMismatch, UnknownLetter
-from .inclusion import inclusion_test
+from .inclusion import inclusion_test, subset_test
 from .morphism import Morphism, PairSet, Recognizer, linked_pairs
 from .semigroup import close_generators
 from .syntactic import minimize
@@ -84,26 +91,49 @@ def _pullback_pair(r1: Recognizer, r2: Recognizer):
     return pullback(alphabet, [(r1, same), (r2, same)])
 
 
+def _decision_sets(r1: Recognizer, r2: Recognizer):
+    """``(h, (p1, p2), (closed1, closed2))``: both accepting sets over one
+    morphism h, and whether each is conjugation-closed.
+
+    Over one shared morphism the sets are taken as they are, closed where
+    their recognizer is strong; otherwise both are pulled back onto the
+    product morphism, where ``pullback`` has made both closed.
+    """
+    if r1.morphism.same_as(r2.morphism):
+        return (r1.morphism, (r1.accepting, r2.accepting),
+                (r1.mode == "strong", r2.mode == "strong"))
+    h, sets = _pullback_pair(r1, r2)
+    return h, sets, (True, True)
+
+
+def _included(h, p, q, q_closed):
+    """[p] subseteq [q] over h: a subset check when q is closed."""
+    return subset_test(h, p, q) if q_closed else inclusion_test(h, p, q)
+
+
 def language_included(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) subseteq L(r2) for recognizers over the same alphabet.
 
-    Over one morphism the accepting sets are compared as they are;
-    otherwise both are pulled back onto the product morphism first.
+    Against a strong right side this is ``subset_test`` on the two sets
+    over one morphism: the shared one, or the product that both are pulled
+    back onto (which makes both strong).  Only a weak r2 over r1's own
+    morphism takes ``inclusion_test``'s triple search.
     """
-    if r1.morphism.same_as(r2.morphism):
-        return inclusion_test(r1.morphism, r1.accepting, r2.accepting)
-    h, (p1, p2) = _pullback_pair(r1, r2)
-    return inclusion_test(h, p1, p2)
+    h, (p1, p2), (_, closed2) = _decision_sets(r1, r2)
+    return _included(h, p1, p2, closed2)
 
 
 def language_equivalent(r1: Recognizer, r2: Recognizer):
-    """Decide L(r1) = L(r2); returns (equal, witness in the difference)."""
-    fwd = language_included(r1, r2)
-    if not fwd.included:
-        return False, fwd.witness
-    bwd = language_included(r2, r1)
-    if not bwd.included:
-        return False, bwd.witness
+    """Decide L(r1) = L(r2); returns (equal, witness in the difference).
+
+    Both directions are decided over the same sets, with at most one
+    pull-back; two strong sides are simply compared.
+    """
+    h, (p1, p2), (closed1, closed2) = _decision_sets(r1, r2)
+    for p, q, q_closed in ((p1, p2, closed2), (p2, p1, closed1)):
+        res = _included(h, p, q, q_closed)
+        if not res.included:
+            return False, res.witness
     return True, None
 
 

@@ -100,17 +100,38 @@ def is_second_order(name: str) -> bool:
     return name[0].isupper()
 
 
+def _depth_safe(fn):
+    """``fn`` raising ``MsoSyntaxError`` where a formula is nested too
+    deeply for Python's recursion limit."""
+
+    @wraps(fn)
+    def safe(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise MsoSyntaxError("formula nested too deeply") from None
+
+    return safe
+
+
+@_depth_safe
 def free_vars(phi: Formula) -> FrozenSet[str]:
+    return _free_vars(phi)
+
+
+def _free_vars(phi: Formula) -> FrozenSet[str]:
+    """The recursion behind ``free_vars``, for callers already under
+    ``_depth_safe``."""
     if isinstance(phi, Less) or isinstance(phi, Succ):
         return frozenset((phi.x, phi.y))
     if isinstance(phi, In):
         return frozenset((phi.x, phi.X))
     if isinstance(phi, Not):
-        return free_vars(phi.body)
+        return _free_vars(phi.body)
     if isinstance(phi, (And, Or)):
-        return free_vars(phi.left) | free_vars(phi.right)
+        return _free_vars(phi.left) | _free_vars(phi.right)
     if isinstance(phi, Exists):
-        return free_vars(phi.body) - {phi.var}
+        return _free_vars(phi.body) - {phi.var}
     raise TypeError("not a formula: %r" % (phi,))
 
 
@@ -260,20 +281,6 @@ class _Parser:
         self.fail("expected '<', '=' or 'in' after variable %r" % (tok,))
 
 
-def _depth_safe(fn):
-    """``fn`` raising ``MsoSyntaxError`` where a formula is nested too
-    deeply for Python's recursion limit."""
-
-    @wraps(fn)
-    def safe(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RecursionError:
-            raise MsoSyntaxError("formula nested too deeply") from None
-
-    return safe
-
-
 @_depth_safe
 def parse(text: str) -> Formula:
     p = _Parser(text)
@@ -358,7 +365,7 @@ def _reduce(phi: Formula, positive: bool):
     if isinstance(phi, Exists):
         return _quantify("E" if positive else "A", phi.var,
                          _reduce(phi.body, positive))
-    return ("lit", (positive, phi), free_vars(phi))
+    return ("lit", (positive, phi), _free_vars(phi))
 
 
 def _balanced(cls, parts) -> Formula:
@@ -633,7 +640,7 @@ class Compiler:
 
     def _go(self, phi: Formula):
         """(recognizer, sorted free variables) of phi."""
-        fv = tuple(sorted(free_vars(phi)))
+        fv = tuple(sorted(_free_vars(phi)))
         order = _canonical_order(phi)
         key = _alpha_key(phi, {v: ("free", i, is_second_order(v))
                                for i, v in enumerate(order)})
@@ -751,7 +758,7 @@ def evaluate(phi: Formula, word: UPWord, horizon: Optional[int] = None,
     """
     if assignment is None:
         assignment = {}
-    so_vars = sorted(v for v in free_vars(phi) if is_second_order(v))
+    so_vars = sorted(v for v in _free_vars(phi) if is_second_order(v))
     if horizon is None:
         horizon = len(word.prefix) + len(word.period) * 8
 

@@ -16,7 +16,9 @@ the library builds them from products it computed itself, and the
 recognizer loader runs ``check_associativity`` on the table it rebuilt.
 Before it allocates a table, ``from_right_cayley`` checks its n^2 int32
 entries against the memory this process may use (the physical memory, or
-a lower ``RLIMIT_AS``) and raises ``ClosureCapExceeded`` if they exceed it.
+a lower ``RLIMIT_AS``) and raises ``ClosureCapExceeded`` if they exceed it;
+``close_generators`` stops at the same bound, before discovering an
+element whose table could not be built.
 
 Derived data (idempotents, linked pairs, idempotent powers, the table of
 the monoid S^1, Green's R- and L-classes) is computed from the table with
@@ -26,6 +28,7 @@ semigroup as read-only arrays.
 
 from __future__ import annotations
 
+import math
 import os
 import resource
 from functools import cached_property
@@ -304,7 +307,13 @@ def close_generators(values: Sequence, right, *, cap: int = DEFAULT_CAP):
     Only the |S| * |generators| right-Cayley products are computed; the
     discovery loop visits elements in ``cayley_bfs`` order, so
     ``from_right_cayley`` keeps the numbering and fills in the rest.
+
+    Raises ``ClosureCapExceeded`` as soon as the closure passes ``cap``
+    elements, or passes the most elements whose table fits in the memory
+    this process may use, whichever is fewer: a closure that ``_fill_table``
+    would refuse stops before it is finished.
     """
+    limit = min(cap, math.isqrt(_MEMORY_LIMIT // 4))
     index = {}
     seed_indices = [index.setdefault(v, len(index)) for v in values]
     elements = list(index)
@@ -316,9 +325,13 @@ def close_generators(values: Sequence, right, *, cap: int = DEFAULT_CAP):
         products = right(x)
         for p in products:
             if p not in index:
-                if len(index) >= cap:
+                if len(index) >= limit:
                     raise ClosureCapExceeded(
-                        "closure exceeded cap of %d elements" % cap)
+                        "closure exceeded cap of %d elements" % cap
+                        if limit == cap else
+                        "closure exceeded %d elements, the most whose table "
+                        "fits in the %d bytes this process may use"
+                        % (limit, _MEMORY_LIMIT))
                 index[p] = len(index)
                 elements.append(p)
         rc_rows.append([index[p] for p in products])

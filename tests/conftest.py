@@ -8,6 +8,7 @@ test, so failures are reproducible.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -57,9 +58,15 @@ def random_recognizer(rng, *, max_size=20, alphabet=None, density=0.4):
     return Recognizer(h, random_pair_set(rng, h.semigroup, density), "weak")
 
 
+# the message of a closure stopped where its table would outgrow the memory
+OVERSIZED_CLOSURE = ("closure exceeded %d elements, the most whose table fits"
+                     % math.isqrt(_MEMORY_LIMIT // 4))
+
+
 def oversized_inclusion_pair():
-    """Two 12-element weak recognizers whose inclusion test closes a
-    169 742-element product, whose dense table would take 107 GiB."""
+    """Two 12-element weak recognizers whose inclusion test would close a
+    169 742-element product, whose dense table would take 107 GiB; the
+    closure stops with ``OVERSIZED_CLOSURE`` first."""
     if 4 * 169_742 ** 2 <= _MEMORY_LIMIT:
         pytest.skip("this process may allocate the 107 GiB table")
     rng = random.Random(1234)

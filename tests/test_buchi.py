@@ -1,12 +1,17 @@
 import random
 
-from omegasem import (BuchiAutomaton, PairSet, Recognizer, UPWord,
+import numpy as np
+
+from omegasem import (BuchiAutomaton, PairSet, Recognizer, UPWord, buchi,
                       buchi_accepts_lasso, buchi_to_strong,
-                      is_conjugation_closed, is_strong, member, minimize,
-                      morphism_to_buchi, weak_to_strong)
+                      close_under_conjugation, inclusion,
+                      is_conjugation_closed, is_strong, linked_pairs, member,
+                      minimize, morphism_to_buchi, weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
-from conftest import random_recognizer, random_upword, section5_morphism
+from conftest import (random_pair_set, random_recognizer,
+                      random_transformation_morphism, random_upword,
+                      section5_morphism)
 
 
 def random_buchi(rng, *, max_states=4, alphabet=("a", "b")):
@@ -99,3 +104,82 @@ def test_band_language_via_buchi():
     for _ in range(30):
         w = random_upword(random.Random(7), ("a", "b"))
         assert member(small, w) == member(rec, w)
+
+
+def loop_morphism_to_buchi(rec):
+    """The untrimmed automaton of ``morphism_to_buchi``, built edge by edge:
+    states (s, e) in S^1 x E, and (s, e) -a-> (t, e) iff h(a) t is s or s e."""
+    h = rec.morphism
+    sg = h.semigroup
+    mul = sg.monoid_table.item
+    one = sg.size
+    idems = [int(e) for e in np.nonzero(sg.idempotents)[0]]
+    states = {}
+    for e in idems:
+        for s in list(range(sg.size)) + [one]:
+            states[(s, e)] = len(states)
+    transitions = []
+    for (s, e), i in states.items():
+        se = mul(s, e)
+        for a, ha in zip(h.alphabet, h.images):
+            for t in list(range(sg.size)) + [one]:
+                hat = mul(ha, t)
+                if hat == s or hat == se:
+                    transitions.append((i, a, states[(t, e)]))
+    initial = [states[(s, e)] for (s, e) in rec.accepting.pairs()]
+    final = [states[(one, e)] for e in idems]
+    return BuchiAutomaton.from_triples(len(states), h.alphabet, transitions,
+                                       initial, final)
+
+
+def same_automaton(x, y):
+    return (x.n_states == y.n_states and x.alphabet == y.alphabet
+            and all(np.array_equal(x.edges[a], y.edges[a])
+                    for a in x.alphabet)
+            and np.array_equal(x.initial, y.initial)
+            and np.array_equal(x.final, y.final))
+
+
+def test_morphism_to_buchi_matches_the_loop_build(monkeypatch):
+    rng = random.Random(16)
+    recs = [random_recognizer(rng, max_size=10) for _ in range(50)]
+    for with_c in (False, True):
+        h = section5_morphism(with_c)
+        lp = linked_pairs(h.semigroup).pairs()
+        recs += [Recognizer(h, PairSet.from_pairs(4, [p]), "weak")
+                 for p in lp]
+        recs.append(Recognizer(h, linked_pairs(h.semigroup), "strong"))
+    for rec in recs:
+        ref = loop_morphism_to_buchi(rec)
+        assert same_automaton(morphism_to_buchi(rec), buchi._trim(ref))
+        with monkeypatch.context() as m:
+            m.setattr(buchi, "_trim", lambda aut: aut)
+            assert same_automaton(morphism_to_buchi(rec), ref)
+
+
+def test_closed_weak_input_is_upgraded_without_a_search(monkeypatch):
+    searches = []
+    real = inclusion.inclusion_test
+
+    def spy(*args):
+        searches.append(args)
+        return real(*args)
+
+    for module in (buchi, inclusion):
+        monkeypatch.setattr(module, "inclusion_test", spy)
+    rng = random.Random(3)
+    for _ in range(20):
+        h = random_transformation_morphism(rng, max_size=12)
+        closed = close_under_conjugation(h, random_pair_set(rng,
+                                                            h.semigroup))
+        rec = Recognizer(h, closed, "weak")
+        strong = weak_to_strong(rec)
+        assert strong.morphism is h and strong.accepting == closed
+        assert strong.mode == "strong"
+        assert is_strong(h, closed).included
+    assert searches == []
+    # a P that its closure grows still takes the search
+    band = Recognizer(section5_morphism(), PairSet.from_pairs(4, [(0, 0)]),
+                      "weak")
+    weak_to_strong(band)
+    assert len(searches) == 1

@@ -11,14 +11,15 @@ from omegasem import (AlphabetMismatch, ClosureCapExceeded, LetterMap,
                       weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
-from conftest import (oversized_inclusion_pair, random_pair_set,
-                      random_recognizer, random_transformation_morphism,
-                      random_upword, section5_morphism)
+from conftest import (OVERSIZED_CLOSURE, oversized_inclusion_pair,
+                      random_pair_set, random_recognizer,
+                      random_transformation_morphism, random_upword,
+                      section5_morphism)
 
 
 def test_oversized_product_table_is_refused():
     left, right = oversized_inclusion_pair()
-    with pytest.raises(ClosureCapExceeded, match="169742-element table"):
+    with pytest.raises(ClosureCapExceeded, match=OVERSIZED_CLOSURE):
         language_included(left, right)
 
 
@@ -222,3 +223,57 @@ def test_language_included_cross_morphism():
     res = language_included(top, r1_min)
     assert not res.included
     assert member(top, res.witness) and not member(r1_min, res.witness)
+
+
+def test_strong_sides_are_decided_without_a_search(monkeypatch):
+    # two strong recognizers over different morphisms: one pull-back per
+    # decision, no triple search and no S^1 table anywhere
+    from omegasem import inclusion, universal
+    searches, products = [], []
+    real_search, real_pullback = inclusion.inclusion_test, langops.pullback
+
+    def search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    for module in (inclusion, langops):
+        monkeypatch.setattr(module, "inclusion_test", search)
+
+    def pullback(*args):
+        out = real_pullback(*args)
+        products.append(out[0].semigroup)
+        return out
+
+    monkeypatch.setattr(langops, "pullback", pullback)
+    rng = random.Random(16)
+    alphabet = ("a", "b")
+    verdicts = set()
+    crossed = 0
+    for _ in range(20):
+        recs = []
+        for _ in range(2):
+            h = random_transformation_morphism(rng, max_size=10,
+                                               alphabet=alphabet)
+            closed = close_under_conjugation(
+                h, random_pair_set(rng, h.semigroup))
+            recs.append(Recognizer(h, closed, "strong"))
+        r1, r2 = recs
+        crossed += not r1.morphism.same_as(r2.morphism)
+        res = language_included(r1, r2)
+        verdicts.add(res.included)
+        if not res.included:
+            assert member(r1, res.witness) and not member(r2, res.witness)
+        equal, witness = language_equivalent(r1, r2)
+        if not equal:
+            assert member(r1, witness) != member(r2, witness)
+        top = universal(r1)
+        assert top.included == (r1.accepting
+                                == linked_pairs(r1.morphism.semigroup))
+        if not top.included:
+            assert not member(r1, top.witness)
+        for sg in [r.morphism.semigroup for r in recs] + products:
+            assert "monoid_table" not in sg.__dict__
+    assert verdicts == {True, False}
+    assert searches == []
+    # one per inclusion and one per equivalence across two morphisms
+    assert crossed >= 15 and len(products) == 2 * crossed

@@ -60,6 +60,11 @@ def test_over_deep_formulas_are_syntax_errors():
         alternating = (And, Or)[i % 2](alternating, In("y", "Y"))
     with pytest.raises(MsoSyntaxError, match="nested too deeply"):
         miniscope(alternating)
+    negations = In("x", "X")
+    for _ in range(5000):
+        negations = Not(negations)
+    with pytest.raises(MsoSyntaxError, match="nested too deeply"):
+        free_vars(negations)
 
 
 def test_long_negation_and_conjunction_chains_compile():

@@ -1,10 +1,15 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegasem import PairSet, Recognizer, UPWord, member, parse
+from omegasem import (PairSet, Recognizer, UPWord, close_under_conjugation,
+                      inclusion_test, langops, language_equivalent,
+                      language_included, linked_pairs, member, parse,
+                      universal, weak_to_strong)
 from omegasem.mso import And, Exists, In, Less, Not, Or, Succ
 
-from conftest import section5_morphism
+from conftest import random_recognizer, section5_morphism
 from test_cli import format_formula
 
 letters = st.sampled_from("ab")
@@ -54,3 +59,50 @@ formulas = st.recursive(
 @given(formulas)
 def test_parse_inverts_formatting(phi):
     assert parse(format_formula(phi)) == phi
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def draw(seed):
+    return random_recognizer(random.Random(seed), max_size=6,
+                             alphabet=("a", "b"))
+
+
+def agrees_with_the_search(h, r1, r2, p1, p2):
+    """language_included and language_equivalent of r1, r2 give the
+    triple search's verdicts on their sets p1, p2 over h, with witnesses
+    that ``member`` confirms on the original recognizers."""
+    fwd = inclusion_test(h, p1, p2).included
+    res = language_included(r1, r2)
+    assert res.included == fwd
+    if not res.included:
+        assert member(r1, res.witness) and not member(r2, res.witness)
+    equal, witness = language_equivalent(r1, r2)
+    assert equal == (fwd and inclusion_test(h, p2, p1).included)
+    if not equal:
+        assert member(r1, witness) != member(r2, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, seeds)
+def test_subset_route_agrees_with_the_triple_search(seed1, seed2):
+    # across two morphisms, against a strong right side
+    r1 = draw(seed1)
+    r2 = weak_to_strong(draw(seed2))
+    h, (p1, p2) = langops._pullback_pair(r1, r2)
+    agrees_with_the_search(h, r1, r2, p1, p2)
+    # over one shared morphism: a weak left side against its own closure
+    h = r1.morphism
+    closed = Recognizer(h, close_under_conjugation(h, r1.accepting),
+                        "strong")
+    agrees_with_the_search(h, r1, closed, r1.accepting, closed.accepting)
+    agrees_with_the_search(h, closed, r1, closed.accepting, r1.accepting)
+    # universality of a strong recognizer
+    for rec in (r2, closed):
+        lp = linked_pairs(rec.morphism.semigroup)
+        res = universal(rec)
+        assert res.included == inclusion_test(rec.morphism, lp,
+                                              rec.accepting).included
+        if not res.included:
+            assert not member(rec, res.witness)

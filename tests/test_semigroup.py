@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from omegasem import (ClosureCapExceeded, NonAssociative,
-                      Semigroup, close_generators)
+                      Semigroup, close_generators, semigroup)
 from omegasem.semigroup import _MEMORY_LIMIT, preimages
 
 from conftest import random_transformation_morphism
@@ -116,6 +116,28 @@ def test_close_generators_duplicate_values_share_element():
 def test_close_generators_cap():
     with pytest.raises(ClosureCapExceeded):
         close_generators([1], lambda a: [a + 1], cap=10)
+
+
+def test_closure_stops_where_its_table_would_not_fit(monkeypatch):
+    # a 4 000-byte budget admits a table of 31 elements; the chain
+    # s -> s + 1 stops at the 32nd, before any table is built
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 4_000)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(semigroup, "_fill_table", no_table)
+    products = []
+
+    def right(a):
+        products.append(a)
+        return [a + 1]
+
+    with pytest.raises(ClosureCapExceeded,
+                       match="closure exceeded 31 elements, the most whose "
+                             "table fits in the 4000 bytes"):
+        close_generators([0], right)
+    assert len(products) == 31
 
 
 def test_table_beyond_the_memory_limit_is_refused():
