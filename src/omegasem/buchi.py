@@ -133,28 +133,23 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
 
 
 def _trim(aut: BuchiAutomaton) -> BuchiAutomaton:
-    """Restrict to states reachable from initial and co-reachable to final."""
+    """Restrict an automaton of ``morphism_to_buchi`` to the states
+    reachable from an initial state.  No backward pass is needed: from
+    (s, e) with s = h(a1...an), reading a1...an passes through the states
+    (h(a(i+1)...an), e) to the final state (1, e)."""
     n = aut.n_states
     any_edge = np.zeros((n, n), dtype=bool)
     for m in aut.edges.values():
         any_edge |= m
-    fwd = aut.initial.copy()
+    keep = aut.initial.copy()
     while True:
-        nxt = fwd | np.any(any_edge[fwd], axis=0)
-        if np.array_equal(nxt, fwd):
+        nxt = keep | np.any(any_edge[keep], axis=0)
+        if np.array_equal(nxt, keep):
             break
-        fwd = nxt
-    bwd = aut.final.copy()
-    while True:
-        nxt = bwd | np.any(any_edge[:, bwd], axis=1)
-        if np.array_equal(nxt, bwd):
-            break
-        bwd = nxt
-    keep = np.nonzero(fwd & bwd)[0]
+        keep = nxt
+    keep = np.nonzero(keep)[0]
     if len(keep) == n:
         return aut
-    remap = -np.ones(n, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
     edges = {a: m[np.ix_(keep, keep)] for a, m in aut.edges.items()}
     return BuchiAutomaton(len(keep), aut.alphabet, edges,
                           aut.initial[keep], aut.final[keep])

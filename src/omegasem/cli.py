@@ -321,3 +321,7 @@ def cli_dispatch(argv=None) -> int:
 
 def main():
     sys.exit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

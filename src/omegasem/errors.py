@@ -6,8 +6,8 @@ class OmegasemError(Exception):
 
 
 class ClosureCapExceeded(OmegasemError):
-    """Raised when a generated semigroup grows past the configured cap, or
-    when its table would need more memory than the process may use."""
+    """Raised when a semigroup's table would need more memory than the
+    process may use."""
 
 
 class NonAssociative(OmegasemError):

@@ -7,44 +7,28 @@ canonical form, so save -> load -> save is byte stable.
 
 Recognizer files carry the multiplication table either in full (row-major,
 one row per line) or as ``table: generated`` followed by the right-Cayley
-rows ``s * g_j`` only; ``Semigroup.from_right_cayley`` then rebuilds the full
-table on load, which keeps files for large semigroups linear in
-|S| * |generators| instead of quadratic in |S|.
+rows ``s * g_j`` only, which keeps files for large semigroups linear in
+|S| * |generators| instead of quadratic in |S|; the loader rebuilds the full
+table along a ``cayley_bfs`` of these rows.  The declared element count is
+checked against ``semigroup.check_table_budget`` as soon as it is read.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, TextIO, Union
 
 import numpy as np
 
 from .buchi import BuchiAutomaton
 from .conjugacy import is_conjugation_closed
-from .errors import NotClosed, OmegasemError, ParseError
+from .errors import ClosureCapExceeded, NotClosed, OmegasemError, ParseError
 from .langops import LetterMap
 from .morphism import Morphism, PairSet, Recognizer
-from .semigroup import DEFAULT_CAP, Semigroup
+from .semigroup import Semigroup, cayley_bfs, check_table_budget
 
 RECOGNIZER_VERSION = "v1"
 BUCHI_VERSION = "v1"
 LETTERMAP_VERSION = "v1"
-
-CAP_ENV_VAR = "OMEGASEM_CLOSURE_CAP"
-
-
-def closure_cap(default: int = DEFAULT_CAP) -> int:
-    """The element cap for on-load table generation (env override)."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError("%s must be an integer, got %r" % (CAP_ENV_VAR, raw))
-    if cap <= 0:
-        raise ParseError("%s must be positive" % CAP_ENV_VAR)
-    return cap
 
 
 # -- line scanner -------------------------------------------------------------
@@ -175,11 +159,11 @@ def dumps_recognizer(rec: Recognizer, *, generated: bool = False) -> str:
 def loads_recognizer(text: str) -> Recognizer:
     """Parse a recognizer file; every check runs before anything is returned.
 
-    Beyond the syntax: ids in range, every element generated by the letter
-    images, an associative table (Light's test, also on a table rebuilt from
-    ``table: generated`` rows), accepting pairs linked, and for
-    ``mode: strong`` a conjugation-closed accepting set.  Any failure is a
-    ``ParseError``.
+    Beyond the syntax: a table within the memory budget, ids in range,
+    every element generated by the letter images, an associative table
+    (Light's test, also on a table rebuilt from ``table: generated``
+    rows), accepting pairs linked, and for ``mode: strong`` a
+    conjugation-closed accepting set.  Any failure is a ``ParseError``.
     """
     lines = _Lines(text)
     _check_header(lines, "recognizer", RECOGNIZER_VERSION)
@@ -194,6 +178,10 @@ def loads_recognizer(text: str) -> Recognizer:
         lines.fail("elements must be an integer")
     if n <= 0:
         lines.fail("elements must be positive")
+    try:
+        check_table_budget(n)
+    except ClosureCapExceeded as exc:
+        lines.fail(str(exc))
     images = []
     for a in alphabet:
         rest = lines.expect("image")
@@ -216,26 +204,25 @@ def loads_recognizer(text: str) -> Recognizer:
     if rows.min() < 0 or rows.max() >= n:
         lines.fail("table entries out of range")
     rows = rows.astype(np.int32)
-    if kind == "generated":
-        cap = closure_cap()
-        if n > cap:
-            lines.fail("table generation over %d elements exceeds cap %d"
-                       % (n, cap))
     if lines.expect("accept"):
         lines.fail("unexpected content after 'accept:'")
-    accepting = PairSet.empty(n)
+    pairs = []
     while lines.peek() is not None:
         s, e = lines.ints("accepting pair", 2)
         if not (0 <= s < n and 0 <= e < n):
             lines.fail("accepting pair (%d, %d) out of range" % (s, e))
-        accepting.bits[s, e] = True
+        pairs.append((s, e))
     lines.done()
     try:
         if kind == "generated":
-            sg = Semigroup.from_right_cayley(rows, generators)
+            tree = cayley_bfs(rows, generators)
+            if len(tree[0]) != n:
+                raise ParseError("elements unreachable from generators")
+            sg = Semigroup.from_right_cayley(rows, generators, tree)
             sg.check_associativity()
         else:
             sg = Semigroup(rows, generators)
+        accepting = PairSet.from_pairs(n, pairs)
         rec = Recognizer(Morphism(alphabet, sg, images), accepting, mode)
         if mode == "strong" and not is_conjugation_closed(rec.morphism,
                                                           accepting):

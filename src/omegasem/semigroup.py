@@ -1,24 +1,21 @@
 """Finite semigroups with dense multiplication tables.
 
-Elements are integer indices into a full |S| x |S| table.  There is one
-build path: a semigroup is given by its right Cayley graph, and
-``Semigroup.from_right_cayley`` fills the table column by column along a
-breadth-first search from the generators.  ``close_generators`` closes a
-set of generator values, one element times all generators per call, and
-hands the right Cayley rows it discovered to that path; its discovery
-order is the search order, so equal inputs always yield identical tables.
+Elements are integer indices into a full |S| x |S| table.  Every semigroup
+the library builds comes out of one enumeration (Froidure and Pin's):
+``close_generators`` closes generator values breadth-first, one element
+times all generators per call, numbers elements in discovery order and
+records the element and generator each came from.
+``Semigroup.from_right_cayley`` fills the table along that tree, so equal
+inputs always yield identical tables.
 
-Checks sit where a table comes from outside.  ``Semigroup(table,
-generators)`` takes a full table and checks its range, that the generators
-generate it, and associativity by Light's test.  ``from_right_cayley``
-checks only that the generators reach every element and trusts the rows:
-the library builds them from products it computed itself, and the
-recognizer loader runs ``check_associativity`` on the table it rebuilt.
-Before it allocates a table, ``from_right_cayley`` checks its n^2 int32
-entries against the memory this process may use (the physical memory, or
-a lower ``RLIMIT_AS``) and raises ``ClosureCapExceeded`` if they exceed it;
-``close_generators`` stops at the same bound, before discovering an
-element whose table could not be built.
+Checks sit where a table comes from outside: ``Semigroup(table,
+generators)`` checks its range, that the generators generate it
+(``cayley_bfs``), and associativity by Light's test; the recognizer loader
+does the same for ``table: generated`` rows.  One budget bounds every
+table: ``check_table_budget`` refuses an n x n int32 table larger than the
+memory this process may use (the physical memory, or a lower
+``RLIMIT_AS``), and ``close_generators`` stops before an element whose
+table it would refuse.
 
 Derived data (idempotents, linked pairs, idempotent powers, the table of
 the monoid S^1, Green's R- and L-classes) is computed from the table with
@@ -37,8 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClosureCapExceeded, NonAssociative
-
-DEFAULT_CAP = 10**7
 
 
 def _memory_limit():
@@ -64,7 +59,7 @@ class Semigroup:
 
     The constructor checks an outside table: entries in range, every element
     generated, and associativity.  Semigroups built by the library come from
-    ``from_right_cayley``, which trusts its rows.
+    ``close_generators`` through ``from_right_cayley``, which trusts its rows.
     """
 
     def __init__(self, table, generators):
@@ -90,21 +85,22 @@ class Semigroup:
         self._green = {}
 
     @classmethod
-    def from_right_cayley(cls, rc, generators):
+    def from_right_cayley(cls, rc, generators, tree):
         """The semigroup with right-Cayley rows ``rc[s, j] = s * generators[j]``.
 
-        ``generators`` must be distinct and reach every element.  Element
-        numbering is kept; the full table is rebuilt along a breadth-first
-        search from the generators.  The rows are trusted: the result is
-        associative only if they are the right Cayley graph of a semigroup.
+        ``tree = (order, parent, parent_gen)`` spans the right Cayley graph
+        from the distinct ``generators``, as ``close_generators`` records it
+        or ``cayley_bfs`` finds it: ``t = parent[t] *
+        generators[parent_gen[t]]``, and ``order`` lists each element after
+        its parent.  Element numbering is kept.  Rows and tree are trusted:
+        the result is associative only if the rows are the right Cayley
+        graph of a semigroup.
         """
         rc = np.asarray(rc, dtype=np.int32)
-        order, parent, parent_gen = cayley_bfs(rc, generators)
-        if len(order) != rc.shape[0]:
-            raise ValueError("elements unreachable from generators")
+        _, parent, parent_gen = tree
         sg = cls.__new__(cls)
-        sg._set(_fill_table(rc, generators, order, parent, parent_gen),
-                generators, parent, parent_gen)
+        sg._set(_fill_table(rc, generators, *tree), generators, parent,
+                parent_gen)
         return sg
 
     def check_associativity(self):
@@ -272,19 +268,25 @@ def cayley_bfs(rc, generators):
     return order, parent, parent_gen
 
 
+def check_table_budget(n):
+    """Raise ``ClosureCapExceeded`` if an n x n int32 table needs more
+    memory than this process may use."""
+    if 4 * n * n > _MEMORY_LIMIT:
+        raise ClosureCapExceeded(
+            "a %d-element table needs %d bytes, more than the %d this "
+            "process may use" % (n, 4 * n * n, _MEMORY_LIMIT))
+
+
 def _fill_table(rc, generators, order, parent, parent_gen):
     """The full table from right-Cayley rows ``rc[s, j] = s * generators[j]``.
 
     Generator columns are copied from ``rc``; every other column is filled
     by reassociating, ``s * t = (s * parent[t]) * g``, in ``order``, which
-    must list each element after its parent.  Raises ``ClosureCapExceeded``
-    before allocating a table larger than this process may use.
+    must list each element after its parent.  Checks the budget before
+    allocating the table.
     """
     n = rc.shape[0]
-    if 4 * n * n > _MEMORY_LIMIT:
-        raise ClosureCapExceeded(
-            "a %d-element table needs %d bytes, more than the %d this "
-            "process may use" % (n, 4 * n * n, _MEMORY_LIMIT))
+    check_table_budget(n)
     table = np.empty((n, n), dtype=np.int32)
     table[:, list(generators)] = rc
     for t in order:
@@ -294,7 +296,7 @@ def _fill_table(rc, generators, order, parent, parent_gen):
     return table
 
 
-def close_generators(values: Sequence, right, *, cap: int = DEFAULT_CAP):
+def close_generators(values: Sequence, right):
     """Close the hashable ``values`` under products and build the full table.
 
     ``right(x)`` returns the list of ``x * g`` over the distinct generators
@@ -304,37 +306,37 @@ def close_generators(values: Sequence, right, *, cap: int = DEFAULT_CAP):
     of ``values[i]`` and ``elements`` lists the closed values in discovery
     order.
 
-    Only the |S| * |generators| right-Cayley products are computed; the
-    discovery loop visits elements in ``cayley_bfs`` order, so
-    ``from_right_cayley`` keeps the numbering and fills in the rest.
+    Only the |S| * |generators| right-Cayley products are computed.  The
+    discovery loop is a breadth-first search, and the element and generator
+    that first reach an element are its ``parent`` and ``parent_gen``.
 
-    Raises ``ClosureCapExceeded`` as soon as the closure passes ``cap``
-    elements, or passes the most elements whose table fits in the memory
-    this process may use, whichever is fewer: a closure that ``_fill_table``
-    would refuse stops before it is finished.
+    Raises ``ClosureCapExceeded`` as soon as the closure passes the most
+    elements whose table fits in the memory this process may use.
     """
-    limit = min(cap, math.isqrt(_MEMORY_LIMIT // 4))
+    limit = math.isqrt(_MEMORY_LIMIT // 4)
     index = {}
     seed_indices = [index.setdefault(v, len(index)) for v in values]
     elements = list(index)
     ngen = len(elements)
     if ngen == 0:
         raise ValueError("at least one generator is required")
+    parent = [-1] * ngen
+    parent_gen = [-1] * ngen
     rc_rows = []  # rc_rows[s][j] = s * gen_j
-    for x in elements:  # grows while it is read: breadth-first order
+    for i, x in enumerate(elements):  # grows while it is read
         products = right(x)
-        for p in products:
+        for j, p in enumerate(products):
             if p not in index:
                 if len(index) >= limit:
                     raise ClosureCapExceeded(
-                        "closure exceeded cap of %d elements" % cap
-                        if limit == cap else
                         "closure exceeded %d elements, the most whose table "
                         "fits in the %d bytes this process may use"
                         % (limit, _MEMORY_LIMIT))
                 index[p] = len(index)
                 elements.append(p)
+                parent.append(i)
+                parent_gen.append(j)
         rc_rows.append([index[p] for p in products])
-    sg = Semigroup.from_right_cayley(rc_rows, range(ngen))
+    sg = Semigroup.from_right_cayley(
+        rc_rows, range(ngen), (range(len(elements)), parent, parent_gen))
     return sg, seed_indices, elements
-

@@ -24,8 +24,8 @@ from .buchi import weak_to_strong
 from .conjugacy import is_conjugation_closed
 from .errors import NotClosed
 from .morphism import Morphism, PairSet, Recognizer
-from .semigroup import (Semigroup, cayley_bfs, close_generators,
-                        group_rows, preimages)
+from .semigroup import (Semigroup, close_generators, group_rows,
+                        preimages)
 
 
 # Moore rounds tried before falling back to Hopcroft: one refining round and
@@ -175,21 +175,20 @@ def bfs_numbered(alphabet, images, right_columns):
     ``images`` are ids of the elements of a semigroup that they generate,
     and ``right_columns(gens)`` gives its right-Cayley rows ``x * g`` of
     every element x, one column per id of ``gens``: the distinct images in
-    order of first appearance.  Elements are renumbered in the order
-    ``cayley_bfs`` finds them, so that the numbering depends only on the
-    morphism and not on the ids it came with.  Returns the renumbered
-    morphism and ``renum``, which maps old ids to new ones.
+    order of first appearance.  ``close_generators`` walks these rows, so
+    elements are renumbered in the order it discovers them, and the
+    numbering depends only on the morphism and not on the ids it came
+    with.  Returns the renumbered morphism and ``renum``, which maps old
+    ids to new ones.
     """
-    gens = list(dict.fromkeys(images))
-    rc = right_columns(gens)
-    m = len(rc)
-    order, _, _ = cayley_bfs(rc, gens)
-    if len(order) != m:
+    rows = right_columns(list(dict.fromkeys(images))).tolist()
+    sg, seeds, elements = close_generators(images, rows.__getitem__)
+    m = len(rows)
+    if len(elements) != m:
         raise NotClosed("semigroup is not generated by the letter images")
     renum = np.empty(m, dtype=np.int64)
-    renum[order] = np.arange(m)
-    sg = Semigroup.from_right_cayley(renum[rc[order]], range(len(gens)))
-    return Morphism(alphabet, sg, [int(renum[x]) for x in images]), renum
+    renum[elements] = np.arange(m)
+    return Morphism(alphabet, sg, seeds), renum
 
 
 def _moore(table, letters, class_of, rounds):
@@ -273,7 +272,7 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         # congruence well-definedness: the quotient table must not depend on
         # the choice of representatives; the quotient of an associative
         # table by a congruence is associative, so this also vouches for
-        # the rows that from_right_cayley trusted
+        # the rows that close_generators read
         if not np.array_equal(projection[table],
                               quotient.table[projection][:, projection]):
             raise NotClosed("refinement did not produce a congruence")

@@ -40,7 +40,7 @@ def random_transformation_morphism(rng, *, degree=None, n_letters=None,
         def right(f):
             return [tuple(g[f[i]] for i in range(d)) for g in gens]
 
-        sg, seeds, _ = close_generators(values, right, cap=10000)
+        sg, seeds, _ = close_generators(values, right)
         if max_size is None or sg.size <= max_size:
             return Morphism(letters, sg, seeds)
 

@@ -77,6 +77,50 @@ def test_morphism_to_buchi_roundtrip(rng):
             assert buchi_accepts_lasso(aut, w) == member(rec, w), str(w)
 
 
+def two_pass_trim(aut):
+    """The states reachable from an initial state and co-reachable to a
+    final one, each by its own fixpoint."""
+    any_edge = np.logical_or.reduce(list(aut.edges.values()))
+
+    def closure(start, step):
+        seen = start.copy()
+        while True:
+            nxt = seen | step(seen)
+            if np.array_equal(nxt, seen):
+                return seen
+            seen = nxt
+
+    fwd = closure(aut.initial, lambda x: any_edge[x].any(axis=0))
+    bwd = closure(aut.final, lambda x: any_edge[:, x].any(axis=1))
+    keep = np.nonzero(fwd & bwd)[0]
+    return BuchiAutomaton(len(keep), aut.alphabet,
+                          {a: m[np.ix_(keep, keep)]
+                           for a, m in aut.edges.items()},
+                          aut.initial[keep], aut.final[keep])
+
+
+def test_forward_trim_equals_the_two_pass_trim(monkeypatch):
+    # every state of morphism_to_buchi is co-reachable to a final one, so
+    # trimming forward alone keeps what the two fixpoints kept
+    rng = random.Random(17)
+    recs = [random_recognizer(rng, max_size=12) for _ in range(60)]
+    for with_c in (False, True):
+        h = section5_morphism(with_c)
+        pairs = linked_pairs(h.semigroup).pairs()
+        for mask in range(1 << len(pairs)):
+            chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            recs.append(Recognizer(h, PairSet.from_pairs(4, chosen)))
+    trimmed = [morphism_to_buchi(rec) for rec in recs]
+    monkeypatch.setattr(buchi, "_trim", lambda aut: aut)
+    for rec, got in zip(recs, trimmed):
+        want = two_pass_trim(morphism_to_buchi(rec))
+        assert got.n_states == want.n_states
+        assert np.array_equal(got.initial, want.initial)
+        assert np.array_equal(got.final, want.final)
+        assert all(np.array_equal(got.edges[a], want.edges[a])
+                   for a in rec.alphabet)
+
+
 def test_weak_to_strong_preserves_language(rng):
     for _ in range(10):
         rec = random_recognizer(rng, max_size=6)

@@ -1,7 +1,12 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import omegasem
 from omegasem import (PairSet, Recognizer, cli_dispatch, member, mso,
                       universal_recognizer)
 from omegasem.formats import save_lettermap, save_recognizer
@@ -107,6 +112,46 @@ def test_include_refuses_an_oversized_product_table(run, tmp_path):
         save_recognizer(rec, path)
     code, out, err = run("include", *paths)
     assert code == 3 and out == "" and OVERSIZED_CLOSURE in err
+
+
+def run_module(*argv, memory=None):
+    """Run ``python -m`` with omegasem importable, optionally under an
+    address-space limit of ``memory`` bytes set in the child."""
+    src = os.path.dirname(os.path.dirname(omegasem.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    return subprocess.run([sys.executable, "-m", *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit if memory else None)
+
+
+def test_module_entry_points_keep_the_exit_codes(band_files):
+    full, empty = band_files
+    for module in ("omegasem", "omegasem.cli"):
+        done = run_module(module, "include", full, empty)
+        assert done.returncode == 1
+        assert done.stdout.splitlines()[0] == "false"
+
+
+def test_generated_file_beyond_the_budget_is_a_data_error(tmp_path):
+    # a 200 000-element chain takes 1.3 MB as right-Cayley rows, but its
+    # table would take 149 GiB: under a 3 GiB limit the load stops at the
+    # declared size, before the rows or the accepting set are allocated
+    n = 200_000
+    rows = "\n".join(str(min(s + 1, n - 1)) for s in range(n))
+    path = tmp_path / "chain.rec"
+    path.write_text("recognizer v1\nmode: weak\nalphabet: a\n"
+                    "elements: %d\nimage: a -> 0\ntable: generated\n"
+                    "%s\naccept:\n" % (n, rows))
+    done = run_module("omegasem", "include", str(path), str(path),
+                      memory=3 << 30)
+    assert done.returncode == 3, done.stderr
+    assert "line 4: a 200000-element table needs" in done.stderr
 
 
 def test_universal(run, band_files):

@@ -7,9 +7,9 @@ import pytest
 from omegasem import (BuchiAutomaton, PairSet, ParseError, Recognizer,
                       buchi_to_strong, cli_dispatch, is_empty,
                       load_recognizer, morphism_to_buchi, save_recognizer)
-from omegasem.formats import (CAP_ENV_VAR, closure_cap, dumps_buchi,
-                              dumps_lettermap, dumps_recognizer, loads_buchi,
-                              loads_lettermap, loads_recognizer)
+from omegasem import formats, semigroup
+from omegasem.formats import (dumps_buchi, dumps_lettermap, dumps_recognizer,
+                              loads_buchi, loads_lettermap, loads_recognizer)
 from omegasem.langops import LetterMap
 from omegasem.semigroup import Semigroup, cayley_bfs
 
@@ -243,10 +243,10 @@ def test_load_accepts_exactly_the_associative_tables(rng):
         rows[rng.randrange(sg.size), rng.randrange(rows.shape[1])] = \
             rng.randrange(sg.size)
         gens = list(sg.generators)
-        if len(cayley_bfs(rows if generated else rows[:, gens], gens)[0]) \
-                < sg.size:
+        tree = cayley_bfs(rows if generated else rows[:, gens], gens)
+        if len(tree[0]) < sg.size:
             continue  # unreachable elements are a different error
-        table = Semigroup.from_right_cayley(rows, gens).table \
+        table = Semigroup.from_right_cayley(rows, gens, tree).table \
             if generated else rows
         lines = dumps_recognizer(Recognizer(rec.morphism,
                                             PairSet.empty(sg.size)),
@@ -265,28 +265,23 @@ def test_load_accepts_exactly_the_associative_tables(rng):
     assert set(outcomes) == {False, True}
 
 
-def test_closure_cap_env(monkeypatch):
-    rec = random_recognizer(random.Random(5), max_size=16)
-    text = dumps_recognizer(rec, generated=True)
+def test_declared_size_beyond_the_budget_is_refused_before_the_rows(
+        monkeypatch):
+    # a 4 000-byte budget admits a table of 31 elements: a file declaring
+    # 32 fails at its 'elements:' line, before any row is parsed
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 4_000)
 
-    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
-    assert closure_cap(123) == 123
+    def no_rows(*args):
+        raise AssertionError("a table row was parsed")
 
-    monkeypatch.setenv(CAP_ENV_VAR, "64")
-    assert closure_cap(123) == 64
-    assert same_recognizer(rec, loads_recognizer(text))
-
-    monkeypatch.setenv(CAP_ENV_VAR, "1")
-    if rec.morphism.semigroup.size > 1:
-        with pytest.raises(ParseError, match="cap"):
+    monkeypatch.setattr(formats._Lines, "int_rows", no_rows)
+    for kind in ("full", "generated"):
+        text = ("recognizer v1\nmode: weak\nalphabet: a\nelements: 32\n"
+                "image: a -> 0\ntable: %s\n" % kind)
+        with pytest.raises(ParseError, match="line 4: a 32-element table "
+                                             "needs 4096 bytes, more than "
+                                             "the 4000"):
             loads_recognizer(text)
-
-    monkeypatch.setenv(CAP_ENV_VAR, "soon")
-    with pytest.raises(ParseError, match="integer"):
-        closure_cap()
-    monkeypatch.setenv(CAP_ENV_VAR, "-4")
-    with pytest.raises(ParseError, match="positive"):
-        closure_cap()
 
 
 # -- Buchi files --------------------------------------------------------------

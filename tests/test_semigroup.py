@@ -1,14 +1,17 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from omegasem import (ClosureCapExceeded, NonAssociative,
-                      Semigroup, close_generators, semigroup)
-from omegasem.semigroup import _MEMORY_LIMIT, preimages
+from omegasem import (ClosureCapExceeded, NonAssociative, Semigroup,
+                      close_generators, compile_formula, language_included,
+                      minimize, semigroup)
+from omegasem.mso import psi_formula
+from omegasem.semigroup import _MEMORY_LIMIT, cayley_bfs, preimages
 
-from conftest import random_transformation_morphism
+from conftest import random_recognizer, random_transformation_morphism
 
 
 def z_mod(n):
@@ -113,9 +116,47 @@ def test_close_generators_duplicate_values_share_element():
     assert seeds[0] == seeds[1] != seeds[2]
 
 
-def test_close_generators_cap():
-    with pytest.raises(ClosureCapExceeded):
-        close_generators([1], lambda a: [a + 1], cap=10)
+def test_recorded_tree_is_the_search_of_the_built_rows():
+    # the closure records each element's parent as it discovers it; a
+    # breadth-first search of the rows it built finds the same tree and
+    # the same numbering, for closures and for minimised quotients
+    rng = random.Random(31)
+    for trial in range(60):
+        if trial % 2:
+            sg = random_transformation_morphism(rng).semigroup
+        else:
+            rec = random_recognizer(rng, max_size=16)
+            sg = minimize(rec).morphism.semigroup
+        order, parent, parent_gen = cayley_bfs(sg.right_cayley,
+                                               sg.generators)
+        assert order == list(range(sg.size))
+        assert sg.parent.tolist() == parent
+        assert sg.parent_gen.tolist() == parent_gen
+
+
+def test_library_semigroups_are_not_searched_again(monkeypatch):
+    # closures and quotients keep the tree their enumeration found; only
+    # tables from outside (the constructor, the loader) are searched
+    # two 11-element weak recognizers, each upgraded through a Büchi
+    # automaton before their product is closed
+    rng = random.Random(0)
+    recs = [random_recognizer(rng, max_size=12, alphabet=("a", "b"))
+            for _ in range(2)]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return cayley_bfs(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("omegasem") \
+                and getattr(mod, "cayley_bfs", None) is cayley_bfs:
+            monkeypatch.setattr(mod, "cayley_bfs", spy)
+    compile_formula(psi_formula(3))
+    language_included(*recs)
+    assert calls == []
+    Semigroup([[0]], [0])
+    assert len(calls) == 1
 
 
 def test_closure_stops_where_its_table_would_not_fit(monkeypatch):
@@ -145,8 +186,11 @@ def test_table_beyond_the_memory_limit_is_refused():
     # more than this process may use, so the build stops before allocating
     n = max(200_000, math.isqrt(_MEMORY_LIMIT // 4) + 1)
     chain = np.minimum(np.arange(1, n + 1), n - 1)[:, None]
+    parent = np.arange(-1, n - 1)
+    parent_gen = np.minimum(parent, 0)
     with pytest.raises(ClosureCapExceeded, match="element table needs"):
-        Semigroup.from_right_cayley(chain, [0])
+        Semigroup.from_right_cayley(chain, [0],
+                                    (range(n), parent, parent_gen))
 
 
 def test_green_classes_rectangular_band():
