@@ -83,7 +83,6 @@ from .formats import (
     save_lettermap,
     save_recognizer,
 )
-from .cli import cli_dispatch
 
 __all__ = [
     "AlphabetMismatch", "ClosureCapExceeded", "EmptyPeriod",
@@ -106,7 +105,6 @@ __all__ = [
     "recognizer_stats", "sample_models",
     "load_buchi", "load_lettermap", "load_recognizer",
     "save_buchi", "save_lettermap", "save_recognizer",
-    "cli_dispatch",
 ]
 
 __version__ = "0.1.0"

@@ -93,9 +93,10 @@ def buchi_to_strong(aut: BuchiAutomaton) -> Recognizer:
     # on q through a final state
     reach = (profiles[:, aut.initial, :] >= 1).any(axis=1)
     loops = np.diagonal(profiles, axis1=1, axis2=2) == 2
-    hit = (reach.astype(np.float32) @ loops.T.astype(np.float32)) > 0
-    return Recognizer(morphism, PairSet(linked_pairs(sg).bits & hit),
-                      "strong")
+    ss, es = linked_pairs(sg).arrays()
+    hit = (reach[ss] & loops[es]).any(1)
+    return Recognizer(morphism, PairSet(zip(ss[hit].tolist(),
+                                            es[hit].tolist())), "strong")
 
 
 def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
@@ -124,7 +125,7 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
         m = np.zeros((k, n1, k, n1), dtype=bool)
         m[diag, :, diag, :] = blocks
         edges[a] = m.reshape(n_states, n_states)
-    s, e = np.nonzero(rec.accepting.bits)
+    s, e = rec.accepting.arrays()
     initial = np.zeros(n_states, dtype=bool)
     initial[np.searchsorted(idems, e) * n1 + s] = True
     final = np.zeros(n_states, dtype=bool)

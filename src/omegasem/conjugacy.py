@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .errors import NotLinkedPair
 from .morphism import Morphism, PairSet, linked_pairs
 
@@ -149,14 +147,8 @@ def close_under_conjugation(morphism: Morphism, accepting: PairSet) -> PairSet:
     if not accepting.issubset(lp):
         raise NotLinkedPair("accepting set contains a non-linked pair")
     result = conjugacy_classes(morphism, lp.pairs())
-    bits = np.zeros_like(accepting.bits)
-    hit = set()
-    for (s, e) in accepting.pairs():
-        hit.add(result.class_of[(s, e)])
-    for cid in hit:
-        for (s, e) in result.classes[cid]:
-            bits[s, e] = True
-    return PairSet(bits)
+    hit = {result.class_of[p] for p in accepting}
+    return PairSet(p for cid in hit for p in result.classes[cid])
 
 
 def is_conjugation_closed(morphism: Morphism, accepting: PairSet) -> bool:

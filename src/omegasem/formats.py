@@ -349,8 +349,8 @@ def _write(text: str, path_or_file: Union[str, TextIO]):
         fh.write(text)
 
 
-def load_recognizer(path_or_file, **kwargs) -> Recognizer:
-    return loads_recognizer(_read(path_or_file), **kwargs)
+def load_recognizer(path_or_file) -> Recognizer:
+    return loads_recognizer(_read(path_or_file))
 
 
 def save_recognizer(rec: Recognizer, path_or_file, **kwargs):

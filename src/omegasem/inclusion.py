@@ -50,7 +50,6 @@ def inclusion_test(morphism: Morphism, p_set: PairSet,
             raise NotLinkedPair("pair set contains a non-linked pair")
     table = sg.monoid_table
     mul = table.item
-    qbits = q_set.bits
     # x a^-1 = {p in S^1 : p h(a) = x}; the identity lands last in h(a) a^-1
     letters = [(a, ha, preimages(table[:, ha], n + 1))
                for a, ha in zip(morphism.alphabet, morphism.images)]
@@ -77,9 +76,8 @@ def inclusion_test(morphism: Morphism, p_set: PairSet,
         sx = mul(s, x)
         yx = mul(y, x)
         yxyx = mul(yx, yx)
-        # both components lie in S here except possibly yxyx on the initial
-        # probes where y = 1 and yxyx = x = e
-        if sx != one and yxyx != one and qbits[sx, yxyx]:
+        # the identity of S^1 is in no pair of Q
+        if (sx, yxyx) in q_set:
             continue
         for a, ha, (order, start) in letters:
             hay = mul(ha, y)
@@ -99,11 +97,10 @@ def subset_test(morphism: Morphism, p_set: PairSet,
     ``rep_word(s) rep_word(e)^omega`` for the first pair (s, e) of P - Q
     in row-major order.
     """
-    diff = (p_set - q_set).bits
-    first = int(diff.argmax())
-    if not diff.flat[first]:
+    diff = p_set - q_set
+    if not diff:
         return InclusionResult(True, None, 0)
-    s, e = divmod(first, diff.shape[1])
+    s, e = min(diff)
     return InclusionResult(False, UPWord(morphism.rep_word(s),
                                          morphism.rep_word(e)), 0)
 

@@ -75,11 +75,11 @@ def pullback(alphabet, parts):
         return list(zip(*[c[s] for c, s in zip(cols, x)]))
 
     sg, seeds, elements = close_generators(values, right)
-    lp = linked_pairs(sg).bits
-    comps = np.asarray(elements).T
+    lp = linked_pairs(sg)
     return Morphism(alphabet, sg, seeds), [
-        PairSet(lp & rec.accepting.bits[np.ix_(c, c)])
-        for rec, c in zip(recs, comps)]
+        PairSet((s, e) for s, e in lp
+                if (elements[s][i], elements[e][i]) in rec.accepting)
+        for i, rec in enumerate(recs)]
 
 
 def _pullback_pair(r1: Recognizer, r2: Recognizer):
@@ -213,14 +213,18 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
         return [acc >> (j * n) & ((1 << n) - 1) for j in range(len(gens))]
 
     sg, seeds, elements = close_generators(values, right)
-    # m[X, t] = 1 iff t is in X; M P M^T > 0 at (X, E) iff P meets X x E
+    # m[X, t] iff t is in X; a linked (X, E) is accepting iff some (t, f)
+    # of P has t in X and f in E
     m = np.unpackbits(np.frombuffer(
         b"".join(x.to_bytes((n + 7) // 8, "little") for x in elements),
         dtype=np.uint8).reshape(sg.size, -1), axis=1, count=n,
-        bitorder="little").astype(np.float32)
-    hit = (m @ rec.accepting.bits.astype(np.float32) @ m.T) > 0
+        bitorder="little").view(bool)
+    xs, es = linked_pairs(sg).arrays()
+    ts, fs = rec.accepting.arrays()
+    hit = (m[xs][:, ts] & m[es][:, fs]).any(1)
     out = Recognizer(Morphism(tuple(lmap.target), sg, seeds),
-                     PairSet(linked_pairs(sg).bits & hit), "strong")
+                     PairSet(zip(xs[hit].tolist(), es[hit].tolist())),
+                     "strong")
     return minimize(out, audit=audit)
 
 

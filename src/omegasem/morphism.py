@@ -3,6 +3,8 @@
 A recognizer is a surjective morphism h from nonempty words onto a finite
 semigroup together with an accepting set P of linked pairs.  It denotes the
 omega-language  [P] = union over (s, e) in P of h^-1(s) (h^-1(e))^omega.
+P is a ``PairSet``, the set of its pairs; ``semigroup`` defines it, and it
+is re-exported here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptyPeriod, NotLinkedPair, UnknownLetter
-from .semigroup import Semigroup
+from .semigroup import PairSet, Semigroup
 
 
 @dataclass(frozen=True)
@@ -92,58 +94,12 @@ class Morphism:
                                    other.semigroup.table))
 
 
-class PairSet:
-    """A set of element pairs over a semigroup of size n, as an n x n bitmap."""
-
-    def __init__(self, bits):
-        self.bits = np.asarray(bits, dtype=bool)
-
-    @classmethod
-    def empty(cls, n):
-        return cls(np.zeros((n, n), dtype=bool))
-
-    @classmethod
-    def from_pairs(cls, n, pairs):
-        bits = np.zeros((n, n), dtype=bool)
-        for s, e in pairs:
-            bits[s, e] = True
-        return cls(bits)
-
-    def __contains__(self, pair):
-        s, e = pair
-        return bool(self.bits[s, e])
-
-    def __len__(self):
-        return int(self.bits.sum())
-
-    def __eq__(self, other):
-        return isinstance(other, PairSet) and np.array_equal(self.bits,
-                                                             other.bits)
-
-    def __or__(self, other):
-        return PairSet(self.bits | other.bits)
-
-    def __and__(self, other):
-        return PairSet(self.bits & other.bits)
-
-    def __sub__(self, other):
-        return PairSet(self.bits & ~other.bits)
-
-    def issubset(self, other):
-        return bool(np.all(self.bits <= other.bits))
-
-    def pairs(self):
-        """Pairs in row-major order (deterministic)."""
-        rows, cols = np.nonzero(self.bits)
-        return [(int(s), int(e)) for s, e in zip(rows, cols)]
-
-
 def linked_pairs(semigroup: Semigroup) -> PairSet:
     """All linked pairs (s, e): e idempotent, s * e = s.
 
-    The bitmap is the semigroup's cached, read-only ``linked`` mask.
+    The set is the semigroup's cached ``linked`` pair set.
     """
-    return PairSet(semigroup.linked)
+    return semigroup.linked
 
 
 @dataclass
@@ -216,7 +172,6 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     for i in range(n - 1, -1, -1):
         acc = imgs[i] if acc is None else int(table[imgs[i], acc])
         suf[i] = acc
-    bits = rec.accepting.bits
     hup = int(table[hu, f])  # h(u') = h(u v^m) = h(u) f
     for i in range(1, n + 1):  # v1 = vp[:i] nonempty
         s = int(table[hup, pref[i]])
@@ -225,6 +180,6 @@ def member(rec: Recognizer, word: UPWord) -> bool:
             e = int(table[f, pref[i]])
         else:
             e = int(table[int(table[suf[i], f]), pref[i]])
-        if bits[s, e]:
+        if (s, e) in rec.accepting:
             return True
     return False

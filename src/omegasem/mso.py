@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-import numpy as np
-
 from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError
 from .langops import LetterMap, intersect, project, pullback
@@ -499,7 +497,7 @@ def _constant(aut: BuchiAutomaton) -> Recognizer:
     made read-only, so that one copy serves every later compile."""
     rec = minimize(buchi_to_strong(aut), audit=True)
     sg = rec.morphism.semigroup
-    for a in (sg.table, sg.parent, sg.parent_gen, rec.accepting.bits):
+    for a in (sg.table, sg.parent, sg.parent_gen):
         _frozen(a)
     return rec
 
@@ -599,10 +597,9 @@ def _renamed(rec: Recognizer, ranks, new_ranks) -> Recognizer:
     table = h.semigroup.table
     morphism, renum = bfs_numbered(h.alphabet, images,
                                    lambda gens: table[:, gens])
-    order = np.argsort(renum)
-    return Recognizer(morphism, PairSet(rec.accepting.bits[np.ix_(order,
-                                                                  order)]),
-                      "strong")
+    new = renum.tolist()
+    return Recognizer(morphism, PairSet((new[s], new[e])
+                                        for s, e in rec.accepting), "strong")
 
 
 class Compiler:

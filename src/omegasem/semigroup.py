@@ -17,14 +17,16 @@ memory this process may use (the physical memory, or a lower
 ``RLIMIT_AS``), and ``close_generators`` stops before an element whose
 table it would refuse.
 
-Derived data (idempotents, linked pairs, idempotent powers, the table of
-the monoid S^1, Green's R- and L-classes) is computed from the table with
-array operations the first time it is asked for and cached on the
-semigroup as read-only arrays.
+Derived data is computed from the table with array operations the first
+time it is asked for and cached on the semigroup: the idempotents,
+idempotent powers, the table of the monoid S^1 and Green's R- and
+L-classes as read-only arrays, and the linked pairs as a ``PairSet``, an
+immutable set of (s, e) pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import resource
@@ -46,6 +48,44 @@ def _memory_limit():
 
 # Read once, so that checking a table against it costs one comparison.
 _MEMORY_LIMIT = _memory_limit()
+
+
+class PairSet(frozenset):
+    """An immutable set of element pairs (s, e), as Python ints.
+
+    ``|``, ``&`` and ``-`` return pair sets.  ``empty(n)`` and
+    ``from_pairs(n, pairs)`` take the semigroup size n, which the set does
+    not need, so that callers may state it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def empty(cls, n):
+        return cls()
+
+    @classmethod
+    def from_pairs(cls, n, pairs):
+        return cls((int(s), int(e)) for s, e in pairs)
+
+    def __or__(self, other):
+        return PairSet(frozenset.__or__(self, other))
+
+    def __and__(self, other):
+        return PairSet(frozenset.__and__(self, other))
+
+    def __sub__(self, other):
+        return PairSet(frozenset.__sub__(self, other))
+
+    def pairs(self):
+        """Pairs in row-major order (deterministic)."""
+        return sorted(self)
+
+    def arrays(self):
+        """``(s, e)``: the pairs as two int64 arrays, in no fixed order."""
+        flat = np.fromiter(itertools.chain.from_iterable(self),
+                           dtype=np.int64, count=2 * len(self))
+        return flat[0::2], flat[1::2]
 
 
 class Semigroup:
@@ -147,10 +187,11 @@ class Semigroup:
 
     @cached_property
     def linked(self):
-        """``linked[s, e]`` iff (s, e) is linked: e * e = e and s * e = s."""
-        linked = self.table == np.arange(self.size)[:, None]
-        linked &= self.idempotents
-        return _frozen(linked)
+        """The linked pairs (s, e): e * e = e and s * e = s, read from the
+        idempotent columns."""
+        idem = np.flatnonzero(self.idempotents)
+        s, j = np.nonzero(self.table[:, idem] == np.arange(self.size)[:, None])
+        return PairSet(zip(s.tolist(), idem[j].tolist()))
 
     @cached_property
     def idempotent_powers(self):

@@ -41,13 +41,17 @@ def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
     idempotents e_j in increasing order; ``Q[s, t]`` is the column of the
     idempotent power of t.  P must be conjugation-closed.  Q agrees with P
     on the linked pairs, so only the rows and columns that seed
-    minimisation need the pairs of Q outside them.
+    minimisation need the pairs of Q outside them.  P is scattered into an
+    |S| x |E| lookup first, which is gathered at ``table[:, idem]``.
     """
     if audit and not is_conjugation_closed(morphism, accepting):
         raise NotClosed("accepting set is not closed under conjugation")
     sg = morphism.semigroup
     idem = np.flatnonzero(sg.idempotents)
-    return accepting.bits[sg.table[:, idem], idem]
+    s, e = accepting.arrays()
+    lookup = np.zeros((sg.size, len(idem)), dtype=bool)
+    lookup[s, np.searchsorted(idem, e)] = True
+    return lookup[sg.table[:, idem], np.arange(len(idem))]
 
 
 class RefinablePartition:
@@ -262,12 +266,9 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         morphism.alphabet, [int(tmp_of[x]) for x in morphism.images],
         lambda gens: tmp_of[table[np.ix_(rep_arr, rep_arr[gens])]])
     quotient = new_morphism.semigroup
-    m = quotient.size
     projection = renum[tmp_of].astype(np.int64)
-    new_bits = np.zeros((m, m), dtype=bool)
-    rows, cols = np.nonzero(rec.accepting.bits)
-    new_bits[projection[rows], projection[cols]] = True
-    accepting = PairSet(new_bits)
+    proj = projection.tolist()
+    accepting = PairSet((proj[s], proj[e]) for s, e in rec.accepting)
     if audit:
         # congruence well-definedness: the quotient table must not depend on
         # the choice of representatives; the quotient of an associative

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import omegasem
-from omegasem import (PairSet, Recognizer, cli_dispatch, member, mso,
-                      universal_recognizer)
+from omegasem import PairSet, Recognizer, member, mso, universal_recognizer
+from omegasem.cli import cli_dispatch
 from omegasem.formats import save_lettermap, save_recognizer
 from omegasem.langops import LetterMap
 from omegasem.morphism import UPWord
@@ -114,20 +114,27 @@ def test_include_refuses_an_oversized_product_table(run, tmp_path):
     assert code == 3 and out == "" and OVERSIZED_CLOSURE in err
 
 
-def run_module(*argv, memory=None):
-    """Run ``python -m`` with omegasem importable, optionally under an
+def run_python(*args, memory=None):
+    """Run the interpreter with omegasem importable, optionally under an
     address-space limit of ``memory`` bytes set in the child."""
     src = os.path.dirname(os.path.dirname(omegasem.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
         os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    # one BLAS thread, so that thread buffers do not count against ``memory``
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
 
-    return subprocess.run([sys.executable, "-m", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120,
                           preexec_fn=limit if memory else None)
+
+
+def run_module(*argv, memory=None):
+    """``python -m`` through ``run_python``."""
+    return run_python("-m", *argv, memory=memory)
 
 
 def test_module_entry_points_keep_the_exit_codes(band_files):
@@ -136,6 +143,8 @@ def test_module_entry_points_keep_the_exit_codes(band_files):
         done = run_module(module, "include", full, empty)
         assert done.returncode == 1
         assert done.stdout.splitlines()[0] == "false"
+        # importing the package must not import ``omegasem.cli`` first
+        assert "RuntimeWarning" not in done.stderr
 
 
 def test_generated_file_beyond_the_budget_is_a_data_error(tmp_path):
@@ -152,6 +161,24 @@ def test_generated_file_beyond_the_budget_is_a_data_error(tmp_path):
                       memory=3 << 30)
     assert done.returncode == 3, done.stderr
     assert "line 4: a 200000-element table needs" in done.stderr
+
+
+def test_psi_7_compiles_in_640_mib():
+    # 640 MiB holds psi k=7's dense tables, but not an |S| x |S| bitmap per
+    # accepting or linked pair set next to them
+    done = run_python("-c", """if True:
+        import hashlib
+        from omegasem import compile_formula, recognizer_stats
+        from omegasem.formats import dumps_recognizer
+        from omegasem.mso import psi_formula
+        rec = compile_formula(psi_formula(7))
+        text = dumps_recognizer(rec, generated=True)
+        print(*recognizer_stats(rec), hashlib.sha256(text.encode()).hexdigest())
+        """, memory=640 << 20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "6675", "6803", "6674",
+        "3fc72957f1633b59d0684d8c5f0d686aa0239c0ad0007631c4bba9e70da79469"]
 
 
 def test_universal(run, band_files):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from omegasem import (BuchiAutomaton, PairSet, ParseError, Recognizer,
-                      buchi_to_strong, cli_dispatch, is_empty,
-                      load_recognizer, morphism_to_buchi, save_recognizer)
+                      buchi_to_strong, is_empty, load_recognizer,
+                      morphism_to_buchi, save_recognizer)
 from omegasem import formats, semigroup
+from omegasem.cli import cli_dispatch
 from omegasem.formats import (dumps_buchi, dumps_lettermap, dumps_recognizer,
                               loads_buchi, loads_lettermap, loads_recognizer)
 from omegasem.langops import LetterMap

@@ -185,6 +185,32 @@ def test_project_accepting_set_matches_definition(monkeypatch):
                 assert ((s, e) in out.accepting) == expected
 
 
+def test_pullback_accepting_sets_match_definition():
+    # (sigma, eps) is in sets[i] iff it is linked and its component-i images,
+    # rebuilt here from each element's word, form a pair of P_i
+    rng = random.Random(41)
+    alphabet = ("a", "b")
+    for _ in range(30):
+        recs = []
+        for _ in range(2):
+            h = random_transformation_morphism(rng, max_size=8,
+                                               alphabet=alphabet)
+            closed = close_under_conjugation(
+                h, random_pair_set(rng, h.semigroup))
+            recs.append(Recognizer(h, closed, "strong"))
+        maps = [dict(zip(alphabet, alphabet)), {"a": "b", "b": "a"}]
+        h, sets = langops.pullback(alphabet, list(zip(recs, maps)))
+        sg = h.semigroup
+        for rec, letters, got in zip(recs, maps, sets):
+            comp = [rec.morphism.evaluate([letters[a] for a in h.rep_word(s)])
+                    for s in range(sg.size)]
+            for s in range(sg.size):
+                for e in range(sg.size):
+                    linked = sg.mul(e, e) == e and sg.mul(s, e) == s
+                    expected = linked and (comp[s], comp[e]) in rec.accepting
+                    assert ((s, e) in got) == expected
+
+
 def test_project_minimises_weak_input_first(monkeypatch):
     # the Büchi round trip inflates this 7-element weak recognizer, and the
     # powerset of the inflated semigroup does not fit in memory
