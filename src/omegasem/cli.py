@@ -29,13 +29,15 @@ def _stats_line(rec: Recognizer) -> str:
 
 
 def _emit_recognizer(rec, args):
-    if getattr(args, "stats", False):
+    """Print the stats line and/or write the recognizer, to ``--output`` or
+    else stdout, in the table form ``--generated`` asks for."""
+    stats = getattr(args, "stats", False)
+    if stats:
         print(_stats_line(rec))
-    if args.output is not None:
-        formats.save_recognizer(rec, args.output,
-                                generated=getattr(args, "generated", False))
-    elif not getattr(args, "stats", False):
-        formats.save_recognizer(rec, sys.stdout)
+    if args.output is not None or not stats:
+        formats.save_recognizer(
+            rec, sys.stdout if args.output is None else args.output,
+            generated=getattr(args, "generated", False))
 
 
 def _verdict(result) -> int:

@@ -10,7 +10,9 @@ one row per line) or as ``table: generated`` followed by the right-Cayley
 rows ``s * g_j`` only, which keeps files for large semigroups linear in
 |S| * |generators| instead of quadratic in |S|; the loader rebuilds the full
 table along a ``cayley_bfs`` of these rows.  The declared element count is
-checked against ``semigroup.check_table_budget`` as soon as it is read.
+checked against ``semigroup.check_table_budget`` as soon as it is read, and
+so is a Büchi file's state count, whose automaton holds one n x n boolean
+matrix per letter.
 """
 
 from __future__ import annotations
@@ -259,6 +261,11 @@ def loads_buchi(text: str) -> BuchiAutomaton:
         lines.fail("states must not be negative")
     alphabet = lines.expect("alphabet").split()
     _check_letters(alphabet, lines.fail)
+    try:
+        # one n x n boolean matrix per letter
+        check_table_budget(n, entry_bytes=len(alphabet))
+    except ClosureCapExceeded as exc:
+        lines.fail(str(exc))
 
     def state_list(rest, what):
         out = []

@@ -1,20 +1,24 @@
 """Boolean operations and alphabet maps on recognized languages.
 
-All operations work on strong, that is conjugation-closed, recognizers
-(``weak_to_strong`` upgrades weak inputs) and return minimized strong
-recognizers.  On the linked pairs a closed P equals its maximal pair set,
-so the operations read the accepting sets themselves: complementation takes
-the linked pairs outside P, and projection reads P over the powerset
-semigroup.  Products and preimages are one operation, ``pullback``: union,
-intersection, inclusion across two morphisms and inverse projection each
-pull their accepting sets back onto one product morphism.
+Complement, union, intersection and the letter maps work on strong, that
+is conjugation-closed, recognizers (``weak_to_strong`` upgrades weak
+inputs) and return minimized strong recognizers.  On the linked pairs a
+closed P equals its maximal pair set, so the operations read the accepting
+sets themselves: complementation takes the linked pairs outside P, and
+projection reads P over the powerset semigroup.  Products and preimages
+are one operation, ``pullback``: union, intersection, inclusion across two
+morphisms and inverse projection each pull their accepting sets back onto
+one product morphism.
 
 Inclusion and equivalence against a strong side compare accepting sets
 (``inclusion.subset_test``): a closed P2 gives one verdict on every
-factorisation of a word, so [P1] subseteq [P2] iff P1 subseteq P2.  Mode
-``"strong"`` is a promise that ``member`` already trusts and the recognizer
-loader checks.  Only a weak right side over the left side's own morphism
-is decided by ``inclusion_test``'s triple search.
+factorisation of a word, so [P1] subseteq [P2] iff P1 subseteq P2, closed
+or not.  Across two morphisms only the right side is upgraded: a weak P1
+pulled back as it is recognizes the same language over the product.
+Equivalence upgrades both sides, since each direction needs a closed
+right side.  Mode ``"strong"`` is a promise that ``member`` already trusts
+and the recognizer loader checks.  Only a weak right side over the left
+side's own morphism is decided by ``inclusion_test``'s triple search.
 """
 
 from __future__ import annotations
@@ -51,25 +55,32 @@ def pullback(alphabet, parts):
     """Accepting sets pulled back onto one product morphism over ``alphabet``.
 
     Each part is ``(rec, letters)``: a recognizer and a mapping that sends
-    each letter of ``alphabet`` to a letter of ``rec``.  Every recognizer is
-    made strong, and the product morphism h sends a letter to the tuple of
-    the parts' images of its letters.  Its semigroup is the subsemigroup of
-    S_1 x ... x S_m that these tuples generate, closed once: the letter maps
-    need not be surjective, and elements outside it have empty preimage.
+    each letter of ``alphabet`` to a letter of ``rec``.  The product
+    morphism h sends a letter to the tuple of the parts' images of its
+    letters.  Its semigroup is the subsemigroup of S_1 x ... x S_m that
+    these tuples generate, closed once: the letter maps need not be
+    surjective, and elements outside it have empty preimage.
 
     Returns ``(h, sets)``: ``sets[i]`` holds the linked pairs of h whose
-    i-th components form a pair of P_i.  The component projections map
-    linked pairs to linked pairs, so the pull-back of a closed P_i is closed
-    and recognizes, over h, the preimage of L(rec_i).
+    i-th components form a pair of P_i.  The sets are pulled back as they
+    are given; no recognizer is upgraded.  The pull-back recognizes, over
+    h, the preimage of L(rec_i) whether P_i is closed or not:
+    - the component projections map linked pairs to linked pairs, so the
+      pull-back of a closed P_i is closed;
+    - a weak P_i keeps its words.  Take a factorisation u v_0 v_1 ... of a
+      word with P_i-pair (s, e).  Ramsey's theorem on the product images
+      of the blocks v_j regroups them into blocks of one idempotent image
+      epsilon, whose i-th component is e; with sigma the image of the new
+      prefix times epsilon, (sigma, epsilon) is a linked pair of h over
+      the same word whose components are (s, e).
     """
-    recs = [weak_to_strong(rec) for rec, _ in parts]
     values = [tuple(int(rec.morphism.image(letters[a]))
-                    for rec, (_, letters) in zip(recs, parts))
+                    for rec, letters in parts)
               for a in alphabet]
     gens = list(dict.fromkeys(values))
     # cols[i][s][j] = s * (component i of generator j), in S_i
     cols = [rec.morphism.semigroup.table[:, list(c)].tolist()
-            for rec, c in zip(recs, zip(*gens))]
+            for (rec, _), c in zip(parts, zip(*gens))]
 
     def right(x):
         return list(zip(*[c[s] for c, s in zip(cols, x)]))
@@ -79,7 +90,7 @@ def pullback(alphabet, parts):
     return Morphism(alphabet, sg, seeds), [
         PairSet((s, e) for s, e in lp
                 if (elements[s][i], elements[e][i]) in rec.accepting)
-        for i, rec in enumerate(recs)]
+        for i, (rec, _) in enumerate(parts)]
 
 
 def _pullback_pair(r1: Recognizer, r2: Recognizer):
@@ -91,19 +102,22 @@ def _pullback_pair(r1: Recognizer, r2: Recognizer):
     return pullback(alphabet, [(r1, same), (r2, same)])
 
 
-def _decision_sets(r1: Recognizer, r2: Recognizer):
+def _decision_sets(r1: Recognizer, r2: Recognizer, *, both: bool):
     """``(h, (p1, p2), (closed1, closed2))``: both accepting sets over one
     morphism h, and whether each is conjugation-closed.
 
     Over one shared morphism the sets are taken as they are, closed where
-    their recognizer is strong; otherwise both are pulled back onto the
-    product morphism, where ``pullback`` has made both closed.
+    their recognizer is strong.  Otherwise both are pulled back onto the
+    product morphism after r2 is made strong, and r1 too when ``both``
+    asks for it: a weak P1 pulled back as it is keeps its language.
     """
     if r1.morphism.same_as(r2.morphism):
         return (r1.morphism, (r1.accepting, r2.accepting),
                 (r1.mode == "strong", r2.mode == "strong"))
-    h, sets = _pullback_pair(r1, r2)
-    return h, sets, (True, True)
+    if both:
+        r1 = weak_to_strong(r1)
+    h, sets = _pullback_pair(r1, weak_to_strong(r2))
+    return h, sets, (r1.mode == "strong", True)
 
 
 def _included(h, p, q, q_closed):
@@ -115,11 +129,11 @@ def language_included(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) subseteq L(r2) for recognizers over the same alphabet.
 
     Against a strong right side this is ``subset_test`` on the two sets
-    over one morphism: the shared one, or the product that both are pulled
-    back onto (which makes both strong).  Only a weak r2 over r1's own
-    morphism takes ``inclusion_test``'s triple search.
+    over one morphism: the shared one, or the product that r1, as it is,
+    and the strong form of r2 are pulled back onto.  Only a weak r2 over
+    r1's own morphism takes ``inclusion_test``'s triple search.
     """
-    h, (p1, p2), (_, closed2) = _decision_sets(r1, r2)
+    h, (p1, p2), (_, closed2) = _decision_sets(r1, r2, both=False)
     return _included(h, p1, p2, closed2)
 
 
@@ -127,9 +141,10 @@ def language_equivalent(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) = L(r2); returns (equal, witness in the difference).
 
     Both directions are decided over the same sets, with at most one
-    pull-back; two strong sides are simply compared.
+    pull-back, of the strong forms of both sides; two strong sides are
+    simply compared.
     """
-    h, (p1, p2), (closed1, closed2) = _decision_sets(r1, r2)
+    h, (p1, p2), (closed1, closed2) = _decision_sets(r1, r2, both=True)
     for p, q, q_closed in ((p1, p2, closed2), (p2, p1, closed1)):
         res = _included(h, p, q, q_closed)
         if not res.included:
@@ -138,12 +153,12 @@ def language_equivalent(r1: Recognizer, r2: Recognizer):
 
 
 def union(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, (p1, p2) = _pullback_pair(r1, r2)
+    h, (p1, p2) = _pullback_pair(weak_to_strong(r1), weak_to_strong(r2))
     return minimize(Recognizer(h, p1 | p2, "strong"), audit=audit)
 
 
 def intersect(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, (p1, p2) = _pullback_pair(r1, r2)
+    h, (p1, p2) = _pullback_pair(weak_to_strong(r1), weak_to_strong(r2))
     return minimize(Recognizer(h, p1 & p2, "strong"), audit=audit)
 
 
@@ -232,5 +247,5 @@ def inverse_project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recogni
     """Recognizer of the preimage language: pull letters back along the map."""
     if lmap.target != rec.morphism.alphabet:
         raise AlphabetMismatch("letter map target does not match recognizer")
-    h, (p,) = pullback(lmap.source, [(rec, lmap.mapping)])
+    h, (p,) = pullback(lmap.source, [(weak_to_strong(rec), lmap.mapping)])
     return minimize(Recognizer(h, p, "strong"), audit=audit)

@@ -14,7 +14,8 @@ generators)`` checks its range, that the generators generate it
 does the same for ``table: generated`` rows.  One budget bounds every
 table: ``check_table_budget`` refuses an n x n int32 table larger than the
 memory this process may use (the physical memory, or a lower
-``RLIMIT_AS``), and ``close_generators`` stops before an element whose
+``RLIMIT_AS``); the full table and the S^1 table are checked before they
+are allocated, and ``close_generators`` stops before an element whose
 table it would refuse.
 
 Derived data is computed from the table with array operations the first
@@ -213,8 +214,10 @@ class Semigroup:
     @cached_property
     def monoid_table(self):
         """The table of S^1: a fresh identity adjoined at index ``size``,
-        even when the semigroup already has a neutral element."""
+        even when the semigroup already has a neutral element.  Checks the
+        budget before allocating it."""
         n = self.size
+        check_table_budget(n + 1)
         table = np.empty((n + 1, n + 1), dtype=np.int32)
         table[:n, :n] = self.table
         table[n, :] = table[:, n] = np.arange(n + 1)
@@ -309,13 +312,15 @@ def cayley_bfs(rc, generators):
     return order, parent, parent_gen
 
 
-def check_table_budget(n):
-    """Raise ``ClosureCapExceeded`` if an n x n int32 table needs more
-    memory than this process may use."""
-    if 4 * n * n > _MEMORY_LIMIT:
+def check_table_budget(n, entry_bytes=4):
+    """Raise ``ClosureCapExceeded`` if an n x n table of ``entry_bytes``
+    bytes per entry (int32 by default) needs more memory than this process
+    may use."""
+    need = entry_bytes * n * n
+    if need > _MEMORY_LIMIT:
         raise ClosureCapExceeded(
             "a %d-element table needs %d bytes, more than the %d this "
-            "process may use" % (n, 4 * n * n, _MEMORY_LIMIT))
+            "process may use" % (n, need, _MEMORY_LIMIT))
 
 
 def _fill_table(rc, generators, order, parent, parent_gen):

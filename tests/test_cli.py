@@ -13,8 +13,8 @@ from omegasem.formats import save_lettermap, save_recognizer
 from omegasem.langops import LetterMap
 from omegasem.morphism import UPWord
 
-from conftest import (OVERSIZED_CLOSURE, oversized_inclusion_pair,
-                      random_recognizer, section5_morphism)
+from conftest import (OVERSIZED_CLOSURE, oversized_equivalence_pair,
+                      oversized_pair, random_recognizer, section5_morphism)
 
 
 @pytest.fixture
@@ -87,6 +87,12 @@ def test_check_strong_verdicts(run, tmp_path, band_files):
     assert lines[0] == "false" and lines[1].startswith("witness: ")
 
 
+def parse_witness(line):
+    """The word of a ``witness: u(v)^w`` line of one-character letters."""
+    prefix, _, period = line.removeprefix("witness: ").partition("(")
+    return UPWord(tuple(prefix), tuple(period[:period.index(")")]))
+
+
 def test_include_and_equiv(run, band_files):
     full, empty = band_files
     code, out, _ = run("include", empty, full)
@@ -94,10 +100,8 @@ def test_include_and_equiv(run, band_files):
 
     code, out, _ = run("include", full, empty)
     assert code == 1
-    witness = out.splitlines()[1].removeprefix("witness: ")
     # the witness must be a word in the left language and not the right
-    prefix, _, period = witness.partition("(")
-    w = UPWord(tuple(prefix), tuple(period[:period.index(")")]))
+    w = parse_witness(out.splitlines()[1])
     assert member(universal_recognizer(section5_morphism()), w)
 
     code, out, _ = run("equiv", full, full)
@@ -106,12 +110,27 @@ def test_include_and_equiv(run, band_files):
     assert code == 1 and "witness: " in out
 
 
-def test_include_refuses_an_oversized_product_table(run, tmp_path):
+def save_pair(tmp_path, pair):
     paths = [str(tmp_path / name) for name in ("left.txt", "right.txt")]
-    for rec, path in zip(oversized_inclusion_pair(), paths):
+    for rec, path in zip(pair, paths):
         save_recognizer(rec, path)
-    code, out, err = run("include", *paths)
+    return paths
+
+
+def test_equiv_refuses_an_oversized_product_table(run, tmp_path):
+    paths = save_pair(tmp_path, oversized_equivalence_pair())
+    code, out, err = run("equiv", *paths)
     assert code == 3 and out == "" and OVERSIZED_CLOSURE in err
+
+
+def test_include_answers_on_the_oversized_pair(run, tmp_path):
+    left, right = oversized_pair()
+    paths = save_pair(tmp_path, (left, right))
+    code, out, _ = run("include", paths[1], paths[0])
+    lines = out.splitlines()
+    assert code == 1 and lines[0] == "false"
+    assert member(right, parse_witness(lines[1]))
+    assert not member(left, parse_witness(lines[1]))
 
 
 def run_python(*args, memory=None):
@@ -257,6 +276,25 @@ def test_gen_adversarial_stats(run):
     code, out, _ = run("gen-adversarial", "2", "--stats")
     assert code == 0
     assert out.startswith("|S|=36 ")
+
+
+def test_generated_tables_reach_stdout(run, tmp_path):
+    # --generated and gen-adversarial's default hold on stdout as with -o
+    rec = random_recognizer(random.Random(9), max_size=10)
+    path = tmp_path / "a.txt"
+    save_recognizer(rec, str(path))
+    out_path = tmp_path / "m.txt"
+    code, out, _ = run("minimize", str(path), "--generated")
+    assert code == 0 and "table: generated" in out
+    assert run("minimize", str(path), "--generated",
+               "-o", str(out_path))[0] == 0
+    assert out == out_path.read_text()
+    code, out, _ = run("minimize", str(path))
+    assert code == 0 and "table: full" in out
+    code, out, _ = run("gen-adversarial", "2")
+    assert code == 0 and "table: generated" in out
+    assert run("gen-adversarial", "2", "-o", str(out_path))[0] == 0
+    assert out == out_path.read_text()
 
 
 def test_mso_compile_stats_and_emit(run, tmp_path):

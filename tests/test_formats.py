@@ -324,6 +324,16 @@ def test_buchi_errors():
         loads_buchi(good.replace("states: %d" % aut.n_states, "states: -1"))
 
 
+def test_buchi_state_count_beyond_the_budget_is_refused(monkeypatch):
+    # two 31 x 31 boolean matrices take 1 922 bytes; 32 states take 2 048
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 2_000)
+    text = "buchi v1\nstates: %d\nalphabet: a b\ninitial: 0\nfinal: 0\n"
+    assert loads_buchi(text % 31).n_states == 31
+    with pytest.raises(ParseError, match="line 3: a 32-element table needs "
+                                         "2048 bytes, more than the 2000"):
+        loads_buchi(text % 32)
+
+
 # -- letter-map files ----------------------------------------------------------
 
 

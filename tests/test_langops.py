@@ -11,16 +11,25 @@ from omegasem import (AlphabetMismatch, ClosureCapExceeded, LetterMap,
                       weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
-from conftest import (OVERSIZED_CLOSURE, oversized_inclusion_pair,
-                      random_pair_set, random_recognizer,
+from conftest import (OVERSIZED_CLOSURE, oversized_equivalence_pair,
+                      oversized_pair, random_pair_set, random_recognizer,
                       random_transformation_morphism, random_upword,
                       section5_morphism)
 
 
 def test_oversized_product_table_is_refused():
-    left, right = oversized_inclusion_pair()
+    left, right = oversized_equivalence_pair()
     with pytest.raises(ClosureCapExceeded, match=OVERSIZED_CLOSURE):
-        language_included(left, right)
+        language_equivalent(left, right)
+
+
+def test_oversized_pair_inclusion_keeps_its_left_side_weak():
+    # the strong forms' product would take 107 GiB; the weak left side
+    # with the strong right one closes 2 709 elements
+    left, right = oversized_pair()
+    res = language_included(right, left)
+    assert not res.included
+    assert member(right, res.witness) and not member(left, res.witness)
 
 
 def test_complement_membership(rng):
@@ -249,6 +258,39 @@ def test_language_included_cross_morphism():
     res = language_included(top, r1_min)
     assert not res.included
     assert member(top, res.witness) and not member(r1_min, res.witness)
+
+
+def test_inclusion_upgrades_its_right_side_only(monkeypatch):
+    # across two morphisms an inclusion pulls back r1 as it is; equivalence
+    # pulls back the strong forms of both sides
+    upgraded, pulled = [], []
+    real_upgrade, real_pullback = langops.weak_to_strong, langops.pullback
+
+    def upgrade(rec):
+        upgraded.append(rec)
+        return real_upgrade(rec)
+
+    def pullback(alphabet, parts):
+        pulled.append([rec for rec, _ in parts])
+        return real_pullback(alphabet, parts)
+
+    monkeypatch.setattr(langops, "weak_to_strong", upgrade)
+    monkeypatch.setattr(langops, "pullback", pullback)
+    rng = random.Random(19)
+    for _ in range(10):
+        r1, r2 = (random_recognizer(rng, max_size=8, alphabet=("a", "b"))
+                  for _ in range(2))
+        assert not r1.morphism.same_as(r2.morphism)
+        upgraded.clear()
+        pulled.clear()
+        language_included(r1, r2)
+        assert [id(r) for r in upgraded] == [id(r2)]
+        assert pulled[0][0] is r1 and pulled[0][1].mode == "strong"
+        upgraded.clear()
+        pulled.clear()
+        language_equivalent(r1, r2)
+        assert [id(r) for r in upgraded] == [id(r1), id(r2)]
+        assert [r.mode for r in pulled[0]] == ["strong", "strong"]
 
 
 def test_strong_sides_are_decided_without_a_search(monkeypatch):

@@ -3,10 +3,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegasem import (PairSet, Recognizer, UPWord, close_under_conjugation,
-                      inclusion_test, langops, language_equivalent,
-                      language_included, linked_pairs, member, parse,
-                      universal, weak_to_strong)
+from omegasem import (PairSet, Recognizer, UPWord, buchi_accepts_lasso,
+                      close_under_conjugation, inclusion_test, langops,
+                      language_equivalent, language_included, linked_pairs,
+                      member, morphism_to_buchi, parse, universal,
+                      weak_to_strong)
 from omegasem.mso import And, Exists, In, Less, Not, Or, Succ
 
 from conftest import random_recognizer, section5_morphism
@@ -87,10 +88,11 @@ def agrees_with_the_search(h, r1, r2, p1, p2):
 @settings(max_examples=60, deadline=None)
 @given(seeds, seeds)
 def test_subset_route_agrees_with_the_triple_search(seed1, seed2):
-    # across two morphisms, against a strong right side
+    # across two morphisms, against a strong right side; the oracle's sets
+    # are both closed, as they were before inclusion kept r1 weak
     r1 = draw(seed1)
     r2 = weak_to_strong(draw(seed2))
-    h, (p1, p2) = langops._pullback_pair(r1, r2)
+    h, (p1, p2) = langops._pullback_pair(weak_to_strong(r1), r2)
     agrees_with_the_search(h, r1, r2, p1, p2)
     # over one shared morphism: a weak left side against its own closure
     h = r1.morphism
@@ -106,3 +108,22 @@ def test_subset_route_agrees_with_the_triple_search(seed1, seed2):
                                               rec.accepting).included
         if not res.included:
             assert not member(rec, res.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, seeds, st.booleans())
+def test_weak_left_side_agrees_with_its_upgrade(seed1, seed2, strong2):
+    # across two morphisms language_included pulls back r1 as it is and the
+    # strong form of r2; the oracle upgrades r1 instead and searches triples
+    # against r2 as it is
+    r1, r2 = draw(seed1), draw(seed2)
+    if strong2:
+        r2 = weak_to_strong(r2)
+    h, (p1, p2) = langops._pullback_pair(weak_to_strong(r1), r2)
+    res = language_included(r1, r2)
+    assert res.included == inclusion_test(h, p1, p2).included
+    if not res.included:
+        for rec, inside in ((r1, True), (r2, False)):
+            assert member(rec, res.witness) == inside
+            assert buchi_accepts_lasso(morphism_to_buchi(rec),
+                                       res.witness) == inside

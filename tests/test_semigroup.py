@@ -193,6 +193,17 @@ def test_table_beyond_the_memory_limit_is_refused():
                                     (range(n), parent, parent_gen))
 
 
+def test_monoid_table_beyond_the_memory_limit_is_refused(monkeypatch):
+    # Z/31 has a 3 844-byte table; its S^1 table takes 32^2 * 4 = 4 096
+    sg = z_mod(31)
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 4_000)
+    with pytest.raises(ClosureCapExceeded,
+                       match="a 32-element table needs 4096 bytes"):
+        sg.monoid_table
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 4_096)
+    assert sg.monoid_table.shape == (32, 32)
+
+
 def test_green_classes_rectangular_band():
     # (i,j)(k,l) = (i,l) on 2x2: R-classes by first coordinate, L by second
     table = [[2 * (s // 2) + (t % 2) for t in range(4)] for s in range(4)]
