@@ -21,7 +21,7 @@ from .conjugacy import close_under_conjugation
 from .errors import AlphabetMismatch
 from .inclusion import inclusion_test
 from .morphism import Morphism, PairSet, Recognizer, UPWord, linked_pairs
-from .semigroup import close_generators
+from .semigroup import check_table_budget, close_generators
 
 
 @dataclass
@@ -106,15 +106,17 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     idempotent and s = |S| stands for the identity of S^1.  Reading a moves
     (s, e) to (t, e) when h(a) t is s or s e, so each letter's matrix is
     block diagonal, one (|S| + 1)^2 block per idempotent, built with array
-    operations.  The initial states are P, the final ones (1, e).
+    operations, after a budget check.  The initial states are P, the final
+    ones (1, e).
     """
     h = rec.morphism
     sg = h.semigroup
     n1 = sg.size + 1
-    mt = sg.monoid_table
     idems = np.nonzero(sg.idempotents)[0]
     k = len(idems)
     n_states = k * n1
+    check_table_budget(n_states, entry_bytes=len(h.alphabet))
+    mt = sg.monoid_table
     diag = np.arange(k)
     targets = mt[:, idems].T[:, :, None]  # targets[i, s] = s e_i
     row = np.arange(n1)[:, None]

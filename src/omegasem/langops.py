@@ -10,15 +10,14 @@ are one operation, ``pullback``: union, intersection, inclusion across two
 morphisms and inverse projection each pull their accepting sets back onto
 one product morphism.
 
-Inclusion and equivalence against a strong side compare accepting sets
-(``inclusion.subset_test``): a closed P2 gives one verdict on every
-factorisation of a word, so [P1] subseteq [P2] iff P1 subseteq P2, closed
-or not.  Across two morphisms only the right side is upgraded: a weak P1
-pulled back as it is recognizes the same language over the product.
-Equivalence upgrades both sides, since each direction needs a closed
-right side.  Mode ``"strong"`` is a promise that ``member`` already trusts
-and the recognizer loader checks.  Only a weak right side over the left
-side's own morphism is decided by ``inclusion_test``'s triple search.
+Inclusion and equivalence decide the accepting sets over one morphism,
+the shared one or their pull-back.  Against a strong right side they
+compare sets (``inclusion.subset_test``): a closed P2 gives one verdict on
+every factorisation of a word, so [P1] subseteq [P2] iff P1 subseteq P2,
+closed or not; against a weak one they search triples (``inclusion_test``).
+Mode ``"strong"`` is a promise that ``member`` already trusts and the
+recognizer loader checks.  Equivalence upgrades no side; inclusion across
+two morphisms upgrades its right side only.
 """
 
 from __future__ import annotations
@@ -102,51 +101,47 @@ def _pullback_pair(r1: Recognizer, r2: Recognizer):
     return pullback(alphabet, [(r1, same), (r2, same)])
 
 
-def _decision_sets(r1: Recognizer, r2: Recognizer, *, both: bool):
-    """``(h, (p1, p2), (closed1, closed2))``: both accepting sets over one
-    morphism h, and whether each is conjugation-closed.
-
-    Over one shared morphism the sets are taken as they are, closed where
-    their recognizer is strong.  Otherwise both are pulled back onto the
-    product morphism after r2 is made strong, and r1 too when ``both``
-    asks for it: a weak P1 pulled back as it is keeps its language.
-    """
+def _decision_sets(r1: Recognizer, r2: Recognizer):
+    """``(h, (p1, p2))``: both accepting sets as they are given, over the
+    shared morphism or pulled back onto the product morphism, which keeps
+    each set's language and keeps a closed set closed."""
     if r1.morphism.same_as(r2.morphism):
-        return (r1.morphism, (r1.accepting, r2.accepting),
-                (r1.mode == "strong", r2.mode == "strong"))
-    if both:
-        r1 = weak_to_strong(r1)
-    h, sets = _pullback_pair(r1, weak_to_strong(r2))
-    return h, sets, (r1.mode == "strong", True)
+        return r1.morphism, (r1.accepting, r2.accepting)
+    return _pullback_pair(r1, r2)
 
 
-def _included(h, p, q, q_closed):
-    """[p] subseteq [q] over h: a subset check when q is closed."""
-    return subset_test(h, p, q) if q_closed else inclusion_test(h, p, q)
+def _included(h, p, q, right: Recognizer):
+    """[p] subseteq [q] over h: a subset check when q is the set of a
+    strong ``right``."""
+    test = subset_test if right.mode == "strong" else inclusion_test
+    return test(h, p, q)
 
 
 def language_included(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) subseteq L(r2) for recognizers over the same alphabet.
 
-    Against a strong right side this is ``subset_test`` on the two sets
-    over one morphism: the shared one, or the product that r1, as it is,
-    and the strong form of r2 are pulled back onto.  Only a weak r2 over
-    r1's own morphism takes ``inclusion_test``'s triple search.
+    Over a shared morphism the sets are decided as they are given.  Across
+    two morphisms r1, as it is, and the strong form of r2 are pulled back.
     """
-    h, (p1, p2), (_, closed2) = _decision_sets(r1, r2, both=False)
-    return _included(h, p1, p2, closed2)
+    if r1.morphism.same_as(r2.morphism):
+        h, sets = r1.morphism, (r1.accepting, r2.accepting)
+    else:
+        # the one upgrade left on a decision path; ROADMAP item 2 deletes
+        # it after item 1a, and this function becomes ``_decision_sets``
+        r2 = weak_to_strong(r2)
+        h, sets = _pullback_pair(r1, r2)
+    return _included(h, *sets, r2)
 
 
 def language_equivalent(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) = L(r2); returns (equal, witness in the difference).
 
-    Both directions are decided over the same sets, with at most one
-    pull-back, of the strong forms of both sides; two strong sides are
-    simply compared.
+    Both directions are decided on the sets as they are given, over one
+    morphism; no side is upgraded.
     """
-    h, (p1, p2), (closed1, closed2) = _decision_sets(r1, r2, both=True)
-    for p, q, q_closed in ((p1, p2, closed2), (p2, p1, closed1)):
-        res = _included(h, p, q, q_closed)
+    h, (p1, p2) = _decision_sets(r1, r2)
+    for p, q, right in ((p1, p2, r2), (p2, p1, r1)):
+        res = _included(h, p, q, right)
         if not res.included:
             return False, res.witness
     return True, None

@@ -49,6 +49,7 @@ def _memory_limit():
 
 # Read once, so that checking a table against it costs one comparison.
 _MEMORY_LIMIT = _memory_limit()
+_LIGHT_BLOCK = 1 << 20  # entries per temporary of Light's test
 
 
 class PairSet(frozenset):
@@ -150,16 +151,20 @@ class Semigroup:
         Light's test: ``(x g) y = x (g y)`` for every generator g.  The
         elements a with ``(x a) y = x (a y)`` for all x, y are closed under
         products, so once every element is generated this is complete.
-        Costs O(|S|^2 |generators|).
+        Costs O(|S|^2 |generators|), in row blocks of ``_LIGHT_BLOCK``
+        entries, so the table stays the only |S|^2 array.
         """
         t = self.table
+        rows = max(1, _LIGHT_BLOCK // max(1, self.size))
         for g in self.generators:
-            left = t.take(t[:, g], axis=0)  # (x g) y
-            right = t.take(t[g], axis=1)    # x (g y)
-            if not (left == right).all():
-                x, y = np.argwhere(left != right)[0]
-                raise NonAssociative("(%d * %d) * %d != %d * (%d * %d)"
-                                     % (x, g, y, x, g, y))
+            for x0 in range(0, self.size, rows):
+                block = t[x0:x0 + rows]
+                left = t.take(block[:, g], axis=0)  # (x g) y
+                right = block.take(t[g], axis=1)    # x (g y)
+                if not (left == right).all():
+                    x, y = np.argwhere(left != right)[0]
+                    raise NonAssociative("(%d * %d) * %d != %d * (%d * %d)"
+                                         % (x0 + x, g, y, x0 + x, g, y))
 
     # -- basic queries -------------------------------------------------------
 

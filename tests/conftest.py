@@ -67,21 +67,38 @@ def oversized_pair():
     """Two 12-element weak recognizers whose strong forms close a
     169 742-element product, whose dense table would take 107 GiB.
 
-    Equivalence pulls both strong forms back and needs that product.
-    Inclusion upgrades only its right side: ``right <= left`` closes 2 709
-    elements and ``left <= right`` 8 760."""
+    Union and intersection pull both strong forms back and need that
+    product.  Equivalence pulls back the sets as given, onto a 72-element
+    product.  Inclusion upgrades only its right side: ``right <= left``
+    closes 2 709 elements and ``left <= right`` 8 760."""
     rng = random.Random(1234)
     recs = [random_recognizer(rng, max_size=12, alphabet=("a", "b"))
             for _ in range(6)]
     return recs[4], recs[5]
 
 
-def oversized_equivalence_pair():
-    """``oversized_pair``, whose equivalence test stops with
-    ``OVERSIZED_CLOSURE`` before the table is built."""
+def oversized_union_pair():
+    """``oversized_pair``, whose union stops with ``OVERSIZED_CLOSURE``
+    before the table is built."""
     if 4 * 169_742 ** 2 <= _MEMORY_LIMIT:
         pytest.skip("this process may allocate the 107 GiB table")
     return oversized_pair()
+
+
+def product_sizes(monkeypatch):
+    """The sizes of the products that ``langops.pullback`` builds from now
+    on, in order."""
+    from omegasem import langops
+    sizes = []
+    real = langops.pullback
+
+    def pullback(*args):
+        out = real(*args)
+        sizes.append(out[0].semigroup.size)
+        return out
+
+    monkeypatch.setattr(langops, "pullback", pullback)
+    return sizes
 
 
 def random_upword(rng, alphabet, max_prefix=4, max_period=4):

@@ -1,12 +1,13 @@
 import random
 
 import numpy as np
+import pytest
 
-from omegasem import (BuchiAutomaton, PairSet, Recognizer, UPWord, buchi,
-                      buchi_accepts_lasso, buchi_to_strong,
-                      close_under_conjugation, inclusion,
+from omegasem import (BuchiAutomaton, ClosureCapExceeded, PairSet,
+                      Recognizer, UPWord, buchi, buchi_accepts_lasso,
+                      buchi_to_strong, close_under_conjugation, inclusion,
                       is_conjugation_closed, is_strong, linked_pairs, member,
-                      minimize, morphism_to_buchi, weak_to_strong)
+                      minimize, morphism_to_buchi, semigroup, weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
 from conftest import (random_pair_set, random_recognizer,
@@ -227,3 +228,19 @@ def test_closed_weak_input_is_upgraded_without_a_search(monkeypatch):
                       "weak")
     weak_to_strong(band)
     assert len(searches) == 1
+
+
+def test_morphism_to_buchi_checks_the_budget_first(monkeypatch):
+    # the band has 4 idempotents, so 4 * 5 states and one 20 x 20 byte
+    # matrix per letter: 800 bytes for two letters
+    band = Recognizer(section5_morphism(), PairSet.from_pairs(4, [(0, 0)]),
+                      "weak")
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 799)
+    refused = "a 20-element table needs 800 bytes"
+    with pytest.raises(ClosureCapExceeded, match=refused):
+        morphism_to_buchi(band)
+    # closing P adds words, so the upgrade takes the Büchi round trip
+    with pytest.raises(ClosureCapExceeded, match=refused):
+        weak_to_strong(band)
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 800)
+    assert morphism_to_buchi(band).n_states <= 20

@@ -7,14 +7,16 @@ import sys
 import pytest
 
 import omegasem
-from omegasem import PairSet, Recognizer, member, mso, universal_recognizer
+from omegasem import (PairSet, Recognizer, member, mso, semigroup,
+                      universal_recognizer)
 from omegasem.cli import cli_dispatch
 from omegasem.formats import save_lettermap, save_recognizer
 from omegasem.langops import LetterMap
 from omegasem.morphism import UPWord
 
-from conftest import (OVERSIZED_CLOSURE, oversized_equivalence_pair,
-                      oversized_pair, random_recognizer, section5_morphism)
+from conftest import (OVERSIZED_CLOSURE, oversized_pair,
+                      oversized_union_pair, product_sizes, random_recognizer,
+                      section5_morphism)
 
 
 @pytest.fixture
@@ -117,10 +119,21 @@ def save_pair(tmp_path, pair):
     return paths
 
 
-def test_equiv_refuses_an_oversized_product_table(run, tmp_path):
-    paths = save_pair(tmp_path, oversized_equivalence_pair())
-    code, out, err = run("equiv", *paths)
+def test_union_refuses_an_oversized_product_table(run, tmp_path):
+    paths = save_pair(tmp_path, oversized_union_pair())
+    code, out, err = run("union", *paths)
     assert code == 3 and out == "" and OVERSIZED_CLOSURE in err
+
+
+def test_equiv_answers_on_the_oversized_pair(run, tmp_path, monkeypatch):
+    sizes = product_sizes(monkeypatch)
+    left, right = oversized_pair()
+    code, out, _ = run("equiv", *save_pair(tmp_path, (left, right)))
+    lines = out.splitlines()
+    assert code == 1 and lines[0] == "false"
+    witness = parse_witness(lines[1])
+    assert member(left, witness) != member(right, witness)
+    assert len(sizes) == 1 and sizes[0] < 200
 
 
 def test_include_answers_on_the_oversized_pair(run, tmp_path):
@@ -180,6 +193,31 @@ def test_generated_file_beyond_the_budget_is_a_data_error(tmp_path):
                       memory=3 << 30)
     assert done.returncode == 3, done.stderr
     assert "line 4: a 200000-element table needs" in done.stderr
+
+
+def test_generated_table_loads_when_only_its_table_fits(tmp_path):
+    # Z/8000 as generated rows: its int32 table takes 244 MiB and fits
+    # under 640 MiB, but not next to the two |S|^2 int32 temporaries that
+    # an unblocked Light's test would add
+    n = 8000
+    rows = "\n".join(str((s + 1) % n) for s in range(n))
+    path = tmp_path / "cyclic.rec"
+    path.write_text("recognizer v1\nmode: weak\nalphabet: a\n"
+                    "elements: %d\nimage: a -> 1\ntable: generated\n"
+                    "%s\naccept:\n" % (n, rows))
+    done = run_module("omegasem", "minimize", str(path), memory=640 << 20)
+    assert done.returncode == 0, done.stderr
+    assert "elements: 1\n" in done.stdout
+
+
+def test_to_buchi_beyond_the_budget_is_a_data_error(run, band_files,
+                                                    monkeypatch):
+    # the band's automaton takes one 20 x 20 byte matrix per letter
+    full, _ = band_files
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 799)
+    code, out, err = run("to-buchi", full)
+    assert code == 3 and out == ""
+    assert "a 20-element table needs 800 bytes" in err
 
 
 def test_psi_7_compiles_in_640_mib():

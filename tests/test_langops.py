@@ -11,16 +11,30 @@ from omegasem import (AlphabetMismatch, ClosureCapExceeded, LetterMap,
                       weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
-from conftest import (OVERSIZED_CLOSURE, oversized_equivalence_pair,
-                      oversized_pair, random_pair_set, random_recognizer,
+from conftest import (OVERSIZED_CLOSURE, oversized_pair,
+                      oversized_union_pair, product_sizes,
+                      random_pair_set, random_recognizer,
                       random_transformation_morphism, random_upword,
                       section5_morphism)
 
 
 def test_oversized_product_table_is_refused():
-    left, right = oversized_equivalence_pair()
-    with pytest.raises(ClosureCapExceeded, match=OVERSIZED_CLOSURE):
-        language_equivalent(left, right)
+    # union and intersection pull back both strong forms
+    left, right = oversized_union_pair()
+    for operation in (union, intersect):
+        with pytest.raises(ClosureCapExceeded, match=OVERSIZED_CLOSURE):
+            operation(left, right)
+
+
+def test_oversized_pair_equivalence_decides_the_given_sets(monkeypatch):
+    # the strong forms' product would take 107 GiB; the sets as given are
+    # pulled back onto one product of fewer than 200 elements
+    sizes = product_sizes(monkeypatch)
+    left, right = oversized_pair()
+    equal, witness = language_equivalent(left, right)
+    assert not equal
+    assert member(left, witness) != member(right, witness)
+    assert len(sizes) == 1 and sizes[0] < 200
 
 
 def test_oversized_pair_inclusion_keeps_its_left_side_weak():
@@ -261,8 +275,9 @@ def test_language_included_cross_morphism():
 
 
 def test_inclusion_upgrades_its_right_side_only(monkeypatch):
-    # across two morphisms an inclusion pulls back r1 as it is; equivalence
-    # pulls back the strong forms of both sides
+    # across two morphisms an inclusion pulls back r1 as it is and the
+    # strong form of r2; equivalence upgrades nothing and pulls back both
+    # recognizers as they are given
     upgraded, pulled = [], []
     real_upgrade, real_pullback = langops.weak_to_strong, langops.pullback
 
@@ -289,8 +304,18 @@ def test_inclusion_upgrades_its_right_side_only(monkeypatch):
         upgraded.clear()
         pulled.clear()
         language_equivalent(r1, r2)
-        assert [id(r) for r in upgraded] == [id(r1), id(r2)]
-        assert [r.mode for r in pulled[0]] == ["strong", "strong"]
+        assert upgraded == []
+        assert len(pulled) == 1
+        assert pulled[0][0] is r1 and pulled[0][1] is r2
+    # over one shared morphism neither decision upgrades or pulls back
+    upgraded.clear()
+    pulled.clear()
+    closed = Recognizer(r1.morphism, close_under_conjugation(
+        r1.morphism, r1.accepting), "strong")
+    for left, right in ((r1, closed), (closed, r1)):
+        language_included(left, right)
+        language_equivalent(left, right)
+    assert upgraded == [] and pulled == []
 
 
 def test_strong_sides_are_decided_without_a_search(monkeypatch):

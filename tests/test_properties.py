@@ -10,7 +10,7 @@ from omegasem import (PairSet, Recognizer, UPWord, buchi_accepts_lasso,
                       weak_to_strong)
 from omegasem.mso import And, Exists, In, Less, Not, Or, Succ
 
-from conftest import random_recognizer, section5_morphism
+from conftest import random_pair_set, random_recognizer, section5_morphism
 from test_cli import format_formula
 
 letters = st.sampled_from("ab")
@@ -127,3 +127,28 @@ def test_weak_left_side_agrees_with_its_upgrade(seed1, seed2, strong2):
             assert member(rec, res.witness) == inside
             assert buchi_accepts_lasso(morphism_to_buchi(rec),
                                        res.witness) == inside
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, seeds, st.sampled_from(("weak", "strong", "mixed", "shared")))
+def test_equivalence_of_the_given_sets_agrees_with_both_inclusions(
+        seed1, seed2, kind):
+    # language_equivalent upgrades no side; the inclusions it is checked
+    # against still make a right side across morphisms strong
+    r1, r2 = draw(seed1), draw(seed2)
+    if kind == "shared":
+        rng = random.Random(seed2)
+        r2 = Recognizer(r1.morphism,
+                        random_pair_set(rng, r1.morphism.semigroup), "weak")
+    elif kind != "weak":
+        r2 = weak_to_strong(r2)
+        if kind == "strong":
+            r1 = weak_to_strong(r1)
+    equal, witness = language_equivalent(r1, r2)
+    assert equal == (language_included(r1, r2).included
+                     and language_included(r2, r1).included)
+    if not equal:
+        inside = [member(rec, witness) for rec in (r1, r2)]
+        assert inside[0] != inside[1]
+        assert [buchi_accepts_lasso(morphism_to_buchi(rec), witness)
+                for rec in (r1, r2)] == inside

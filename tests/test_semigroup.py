@@ -204,6 +204,34 @@ def test_monoid_table_beyond_the_memory_limit_is_refused(monkeypatch):
     assert sg.monoid_table.shape == (32, 32)
 
 
+def test_light_test_in_row_blocks_reports_the_first_mismatch(monkeypatch):
+    # blocks of one row, of a few rows or of the whole table: Light's test
+    # names the mismatch that the test over whole arrays finds first
+    rng = random.Random(20)
+    for _ in range(40):
+        n = rng.randint(4, 30)
+        sg = Semigroup((np.arange(n)[:, None] + np.arange(n)) % n, [1, 2])
+        t = sg.table.copy()
+        t[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+        sg.table = t
+        want = None
+        for g in sg.generators:
+            bad = np.argwhere(t[t[:, g]] != t[:, t[g]])  # (x g) y, x (g y)
+            if len(bad):
+                x, y = bad[0]
+                want = ("(%d * %d) * %d != %d * (%d * %d)"
+                        % (x, g, y, x, g, y))
+                break
+        for block in (1, 3 * n + 1, n * n):
+            monkeypatch.setattr(semigroup, "_LIGHT_BLOCK", block)
+            if want is None:
+                sg.check_associativity()
+            else:
+                with pytest.raises(NonAssociative) as err:
+                    sg.check_associativity()
+                assert str(err.value) == want
+
+
 def test_green_classes_rectangular_band():
     # (i,j)(k,l) = (i,l) on 2x2: R-classes by first coordinate, L by second
     table = [[2 * (s // 2) + (t % 2) for t in range(4)] for s in range(4)]
