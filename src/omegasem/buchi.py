@@ -106,24 +106,29 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     idempotent and s = |S| stands for the identity of S^1.  Reading a moves
     (s, e) to (t, e) when h(a) t is s or s e, so each letter's matrix is
     block diagonal, one (|S| + 1)^2 block per idempotent, built with array
-    operations, after a budget check.  The initial states are P, the final
-    ones (1, e).
+    operations, after a budget check.  It reads the left rows of the letter
+    images and the idempotent columns, each with the identity of S^1
+    appended.  The initial states are P, the final ones (1, e).
     """
     h = rec.morphism
     sg = h.semigroup
     n1 = sg.size + 1
-    idems = np.nonzero(sg.idempotents)[0]
+    idems, cols = sg.idempotent_columns
     k = len(idems)
     n_states = k * n1
     check_table_budget(n_states, entry_bytes=len(h.alphabet))
-    mt = sg.monoid_table
     diag = np.arange(k)
-    targets = mt[:, idems].T[:, :, None]  # targets[i, s] = s e_i
+    # targets[i, s] = s e_i for s in S^1
+    targets = np.concatenate([cols, idems[None]]).T[:, :, None]
+    letters = sorted(set(h.images))
+    # hat[j, t] = x_j t for the letter images x_j and t in S^1
+    hat = np.concatenate([sg.left_rows(letters),
+                          np.array(letters)[:, None]], axis=1)
     row = np.arange(n1)[:, None]
     edges = {}
     for a, ha in zip(h.alphabet, h.images):
-        hat = mt[ha]  # h(a) t for t in S^1
-        blocks = (hat == row)[None] | (hat == targets)
+        x = hat[letters.index(ha)]
+        blocks = (x == row)[None] | (x == targets)
         m = np.zeros((k, n1, k, n1), dtype=bool)
         m[diag, :, diag, :] = blocks
         edges[a] = m.reshape(n_states, n_states)

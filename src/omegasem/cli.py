@@ -132,10 +132,7 @@ def cmd_project(args):
 def cmd_to_buchi(args):
     rec = formats.load_recognizer(args.recognizer)
     aut = buchi.morphism_to_buchi(rec)
-    if args.output is not None:
-        formats.save_buchi(aut, args.output)
-    else:
-        formats.save_buchi(aut, sys.stdout)
+    formats.save_buchi(aut, sys.stdout if args.output is None else args.output)
     return EXIT_TRUE
 
 
@@ -189,14 +186,13 @@ def cmd_mso_table1(args):
 # -- parser --------------------------------------------------------------------
 
 
-def _add_io(sub, stats=True):
+def _add_io(sub):
     sub.add_argument("-o", "--output", metavar="FILE", default=None,
                      help="write the result here instead of stdout")
     sub.add_argument("--generated", action="store_true",
                      help="store right-Cayley rows instead of the full table")
-    if stats:
-        sub.add_argument("--stats", action="store_true",
-                         help="print |S| |F| |P| instead of the recognizer")
+    sub.add_argument("--stats", action="store_true",
+                     help="print |S| |F| |P| instead of the recognizer")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -95,7 +95,6 @@ def conjugacy_classes(morphism: Morphism, pairs=None) -> ConjugacyResult:
         pairs = list(pairs)
     pair_index = {p: i for i, p in enumerate(pairs)}
     uf = UnionFind(len(pairs))
-    table = sg.table
     worklist = []
 
     def union_plus(ids):
@@ -109,11 +108,14 @@ def conjugacy_classes(morphism: Morphism, pairs=None) -> ConjugacyResult:
             # approximation classes are disjoint, so these are all roots
             union_plus([pair_index[p] for p in cls])
             worklist.append([pair_index[p] for p in cls])
-    letter_images = sorted(set(morphism.images))
+    # left[j][s] = x_j s for the letter images x_j, gathered only when
+    # there is a class to propagate
+    left = sg.left_rows(sorted(set(morphism.images))).tolist() \
+        if worklist else []
     while worklist:
         group = worklist.pop()
-        for x in letter_images:
-            roots = sorted({uf.find(pair_index[(int(table[x, pairs[i][0]]),
+        for row in left:
+            roots = sorted({uf.find(pair_index[(row[pairs[i][0]],
                                                 pairs[i][1])])
                             for i in group})
             if len(roots) > 1:

@@ -116,13 +116,20 @@ def is_strong(morphism: Morphism, accepting: PairSet) -> InclusionResult:
     return inclusion_test(morphism, closed, accepting)
 
 
+def decide_inclusion(morphism: Morphism, p_set: PairSet, q_set: PairSet,
+                     q_mode: str) -> InclusionResult:
+    """Decide [P] subseteq [Q], where ``q_mode`` is the mode of the
+    recognizer Q comes from: a subset check when it is ``"strong"``, else
+    a triple search."""
+    test = subset_test if q_mode == "strong" else inclusion_test
+    return test(morphism, p_set, q_set)
+
+
 def universal(rec: Recognizer) -> InclusionResult:
     """Decide [P] = A^omega, that is [linked pairs] subseteq [P].
 
     A strong P is universal iff it holds every linked pair.
     """
     h = rec.morphism
-    lp = linked_pairs(h.semigroup)
-    if rec.mode == "strong":
-        return subset_test(h, lp, rec.accepting)
-    return inclusion_test(h, lp, rec.accepting)
+    return decide_inclusion(h, linked_pairs(h.semigroup), rec.accepting,
+                            rec.mode)

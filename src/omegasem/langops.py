@@ -15,6 +15,7 @@ the shared one or their pull-back.  Against a strong right side they
 compare sets (``inclusion.subset_test``): a closed P2 gives one verdict on
 every factorisation of a word, so [P1] subseteq [P2] iff P1 subseteq P2,
 closed or not; against a weak one they search triples (``inclusion_test``).
+``inclusion.decide_inclusion`` picks between the two.
 Mode ``"strong"`` is a promise that ``member`` already trusts and the
 recognizer loader checks.  Equivalence upgrades no side; inclusion across
 two morphisms upgrades its right side only.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .buchi import weak_to_strong
 from .errors import AlphabetMismatch, UnknownLetter
-from .inclusion import inclusion_test, subset_test
+from .inclusion import decide_inclusion
 from .morphism import Morphism, PairSet, Recognizer, linked_pairs
 from .semigroup import close_generators
 from .syntactic import minimize
@@ -78,7 +79,7 @@ def pullback(alphabet, parts):
               for a in alphabet]
     gens = list(dict.fromkeys(values))
     # cols[i][s][j] = s * (component i of generator j), in S_i
-    cols = [rec.morphism.semigroup.table[:, list(c)].tolist()
+    cols = [rec.morphism.semigroup.right_rows(c).tolist()
             for (rec, _), c in zip(parts, zip(*gens))]
 
     def right(x):
@@ -110,13 +111,6 @@ def _decision_sets(r1: Recognizer, r2: Recognizer):
     return _pullback_pair(r1, r2)
 
 
-def _included(h, p, q, right: Recognizer):
-    """[p] subseteq [q] over h: a subset check when q is the set of a
-    strong ``right``."""
-    test = subset_test if right.mode == "strong" else inclusion_test
-    return test(h, p, q)
-
-
 def language_included(r1: Recognizer, r2: Recognizer):
     """Decide L(r1) subseteq L(r2) for recognizers over the same alphabet.
 
@@ -130,7 +124,7 @@ def language_included(r1: Recognizer, r2: Recognizer):
         # it after item 1a, and this function becomes ``_decision_sets``
         r2 = weak_to_strong(r2)
         h, sets = _pullback_pair(r1, r2)
-    return _included(h, *sets, r2)
+    return decide_inclusion(h, *sets, r2.mode)
 
 
 def language_equivalent(r1: Recognizer, r2: Recognizer):
@@ -140,8 +134,8 @@ def language_equivalent(r1: Recognizer, r2: Recognizer):
     morphism; no side is upgraded.
     """
     h, (p1, p2) = _decision_sets(r1, r2)
-    for p, q, right in ((p1, p2, r2), (p2, p1, r1)):
-        res = _included(h, p, q, right)
+    for p, q, mode in ((p1, p2, r2.mode), (p2, p1, r1.mode)):
+        res = decide_inclusion(h, p, q, mode)
         if not res.included:
             return False, res.witness
     return True, None
@@ -201,7 +195,6 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
     if rec.mode == "weak":
         rec = minimize(rec, audit=audit)
     h = rec.morphism
-    table = h.semigroup.table
     n = h.semigroup.size
     fibers = lmap.fibers()
     values = []  # subsets of S as bitmasks
@@ -209,10 +202,14 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
         if not fibers[b]:
             raise UnknownLetter("target letter %r has no preimage" % (b,))
         values.append(sum(1 << t for t in {h.image(a) for a in fibers[b]}))
-    gens = [[t for t in range(n) if g >> t & 1] for g in dict.fromkeys(values)]
+    letters = sorted(set(h.images))
+    # generator j is the set G_j; gens[j] lists its columns in the rows
+    gens = [[c for c, t in enumerate(letters) if g >> t & 1]
+            for g in dict.fromkeys(values)]
     # field j of rows[t] (bits j*n to j*n + n - 1) is t G_j; OR them over X
-    rows = [sum(1 << b for b in {j * n + row[t] for j, ts in enumerate(gens)
-                                 for t in ts}) for row in table.tolist()]
+    rows = [sum(1 << b for b in {j * n + row[c] for j, cs in enumerate(gens)
+                                 for c in cs})
+            for row in h.semigroup.right_rows(letters).tolist()]
 
     def right(x):
         acc = 0

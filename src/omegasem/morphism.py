@@ -72,10 +72,10 @@ class Morphism:
     def evaluate(self, word: Iterable[str]):
         """h(word) for a nonempty finite word."""
         s = None
-        table = self.semigroup.table
+        mul = self.semigroup.mul
         for a in word:
             x = self.image(a)
-            s = x if s is None else int(table[s, x])
+            s = x if s is None else mul(s, x)
         if s is None:
             raise ValueError("cannot evaluate the empty word")
         return s
@@ -87,11 +87,15 @@ class Morphism:
                      for j in self.semigroup.word_of(s))
 
     def same_as(self, other: "Morphism"):
+        """Whether both morphisms are one: equal letters, images,
+        generators and right Cayley rows.  The rows fix every product,
+        because s t is the walk of a word of t from s.  Generators listed
+        in different orders count as different."""
         return (self.alphabet == other.alphabet
                 and self.images == other.images
-                and self.semigroup.size == other.semigroup.size
-                and np.array_equal(self.semigroup.table,
-                                   other.semigroup.table))
+                and self.semigroup.generators == other.semigroup.generators
+                and np.array_equal(self.semigroup.right_cayley,
+                                   other.semigroup.right_cayley))
 
 
 def linked_pairs(semigroup: Semigroup) -> PairSet:
@@ -143,7 +147,7 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     idempotent-normalized period, looking for (h(u' v1), h(v2 v' v1)) in P.
     """
     h = rec.morphism
-    table = h.semigroup.table
+    mul = h.semigroup.mul
     prefix, period = word.prefix, word.period
     if not prefix:
         # rotate one period into the prefix so that h(u) is defined
@@ -151,12 +155,12 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     pe = [h.image(a) for a in period]
     hv = pe[0]
     for x in pe[1:]:
-        hv = int(table[hv, x])
+        hv = mul(hv, x)
     fpow, mpow = h.semigroup.idempotent_powers
     f, m = int(fpow[hv]), int(mpow[hv])
     hu = h.evaluate(prefix)
     if rec.mode == "strong":
-        return (int(table[hu, f]), f) in rec.accepting
+        return (mul(hu, f), f) in rec.accepting
     # weak: normalize to u' = u v^m, v' = v^m, then scan splits of v'
     vp = period * m
     n = len(vp)
@@ -165,21 +169,21 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     pref = [0] * (n + 1)
     acc = None
     for i, x in enumerate(imgs):
-        acc = x if acc is None else int(table[acc, x])
+        acc = x if acc is None else mul(acc, x)
         pref[i + 1] = acc
     suf = [0] * (n + 1)
     acc = None
     for i in range(n - 1, -1, -1):
-        acc = imgs[i] if acc is None else int(table[imgs[i], acc])
+        acc = imgs[i] if acc is None else mul(imgs[i], acc)
         suf[i] = acc
-    hup = int(table[hu, f])  # h(u') = h(u v^m) = h(u) f
+    hup = mul(hu, f)  # h(u') = h(u v^m) = h(u) f
     for i in range(1, n + 1):  # v1 = vp[:i] nonempty
-        s = int(table[hup, pref[i]])
+        s = mul(hup, pref[i])
         # e = h(v2) h(v') h(v1) with v2 = vp[i:] and h(v') = f
         if i == n:
-            e = int(table[f, pref[i]])
+            e = mul(f, pref[i])
         else:
-            e = int(table[int(table[suf[i], f]), pref[i]])
+            e = mul(mul(suf[i], f), pref[i])
         if (s, e) in rec.accepting:
             return True
     return False

@@ -41,7 +41,6 @@ from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError
 from .langops import LetterMap, intersect, project, pullback
 from .morphism import PairSet, Recognizer, UPWord, linked_pairs
-from .semigroup import _frozen
 from .syntactic import bfs_numbered, minimize
 
 
@@ -493,13 +492,10 @@ def _singleton_buchi(width: int, i: int) -> BuchiAutomaton:
 
 
 def _constant(aut: BuchiAutomaton) -> Recognizer:
-    """The syntactic recognizer of L(aut), built with every audit check and
-    made read-only, so that one copy serves every later compile."""
-    rec = minimize(buchi_to_strong(aut), audit=True)
-    sg = rec.morphism.semigroup
-    for a in (sg.table, sg.parent, sg.parent_gen):
-        _frozen(a)
-    return rec
+    """The syntactic recognizer of L(aut), built with every audit check.
+    It is read-only, as every semigroup the library builds is, so one copy
+    serves every later compile."""
+    return minimize(buchi_to_strong(aut), audit=True)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -594,9 +590,8 @@ def _renamed(rec: Recognizer, ranks, new_ranks) -> Recognizer:
         for r, nr in zip(ranks, new_ranks):
             old[r] = letter[nr]
         images.append(h.images[int("".join(old), 2)])
-    table = h.semigroup.table
     morphism, renum = bfs_numbered(h.alphabet, images,
-                                   lambda gens: table[:, gens])
+                                   h.semigroup.right_rows)
     new = renum.tolist()
     return Recognizer(morphism, PairSet((new[s], new[e])
                                         for s, e in rec.accepting), "strong")

@@ -6,7 +6,15 @@ the library builds comes out of one enumeration (Froidure and Pin's):
 times all generators per call, numbers elements in discovery order and
 records the element and generator each came from.
 ``Semigroup.from_right_cayley`` fills the table along that tree, so equal
-inputs always yield identical tables.
+inputs always yield identical tables, and marks table, rows and tree
+read-only.
+
+The table is this module's secret.  Readers elsewhere name the data they
+need: ``right_cayley`` (stored), ``right_rows(xs)`` (s x) and
+``left_rows(xs)`` (x s) at the letter images, ``idempotent_columns``
+(s e) and ``mul``.  Only two readers need general products and touch the
+table itself: ``inclusion.inclusion_test``, through ``monoid_table``, and
+the full form of ``formats.dumps_recognizer``.
 
 Checks sit where a table comes from outside: ``Semigroup(table,
 generators)`` checks its range, that the generators generate it
@@ -19,10 +27,10 @@ are allocated, and ``close_generators`` stops before an element whose
 table it would refuse.
 
 Derived data is computed from the table with array operations the first
-time it is asked for and cached on the semigroup: the idempotents,
-idempotent powers, the table of the monoid S^1 and Green's R- and
-L-classes as read-only arrays, and the linked pairs as a ``PairSet``, an
-immutable set of (s, e) pairs.
+time it is asked for and cached on the semigroup: the idempotents, their
+columns, idempotent powers, the table of the monoid S^1 and Green's R-
+and L-classes as read-only arrays, and the linked pairs as a ``PairSet``,
+an immutable set of (s, e) pairs.
 """
 
 from __future__ import annotations
@@ -95,7 +103,8 @@ class Semigroup:
 
     ``table[s, t]`` is the product ``s * t``.  ``generators`` lists the
     distinct generator elements in first-seen order; every element is a
-    product of generators.  ``parent`` and ``parent_gen`` record the
+    product of generators, and ``right_cayley[s, j] = s * generators[j]``
+    holds their right Cayley rows.  ``parent`` and ``parent_gen`` record the
     breadth-first decompositions ``t = parent[t] * generators[parent_gen[t]]``
     (-1 for generators), which give shortest representative words.
 
@@ -112,15 +121,16 @@ class Semigroup:
         if n and (table.min() < 0 or table.max() >= n):
             raise ValueError("table entries out of range")
         generators = [int(g) for g in generators]
-        order, parent, parent_gen = cayley_bfs(table[:, generators],
-                                               generators)
+        rc = table[:, generators]
+        order, parent, parent_gen = cayley_bfs(rc, generators)
         if len(order) != n:
             raise ValueError("elements unreachable from generators")
-        self._set(table, generators, parent, parent_gen)
+        self._set(table, rc, generators, parent, parent_gen)
         self.check_associativity()
 
-    def _set(self, table, generators, parent, parent_gen):
+    def _set(self, table, rc, generators, parent, parent_gen):
         self.table = table
+        self.right_cayley = rc
         self.generators = tuple(int(g) for g in generators)
         self.parent = np.asarray(parent, dtype=np.int32)
         self.parent_gen = np.asarray(parent_gen, dtype=np.int32)
@@ -136,13 +146,15 @@ class Semigroup:
         generators[parent_gen[t]]``, and ``order`` lists each element after
         its parent.  Element numbering is kept.  Rows and tree are trusted:
         the result is associative only if the rows are the right Cayley
-        graph of a semigroup.
+        graph of a semigroup.  Table, rows and tree are read-only.
         """
         rc = np.asarray(rc, dtype=np.int32)
         _, parent, parent_gen = tree
         sg = cls.__new__(cls)
-        sg._set(_fill_table(rc, generators, *tree), generators, parent,
+        sg._set(_fill_table(rc, generators, *tree), rc, generators, parent,
                 parent_gen)
+        for a in (sg.table, sg.right_cayley, sg.parent, sg.parent_gen):
+            _frozen(a)
         return sg
 
     def check_associativity(self):
@@ -173,7 +185,17 @@ class Semigroup:
         return self.table.shape[0]
 
     def mul(self, s, t):
-        return int(self.table[s, t])
+        return self.table.item(s, t)
+
+    def right_rows(self, xs):
+        """``right_rows(xs)[s, j] = s * xs[j]``: one column per element of
+        the sequence ``xs``."""
+        return self.table.take(xs, axis=1)
+
+    def left_rows(self, xs):
+        """``left_rows(xs)[j, s] = xs[j] * s``: one row per element of the
+        sequence ``xs``."""
+        return self.table.take(xs, axis=0)
 
     def word_of(self, s):
         """A representative word for ``s``, as a tuple of generator positions."""
@@ -192,11 +214,18 @@ class Semigroup:
         return _frozen(self.table[np.arange(n), np.arange(n)] == np.arange(n))
 
     @cached_property
+    def idempotent_columns(self):
+        """``(idem, cols)``: the idempotents in increasing order and their
+        columns ``cols[s, j] = s * idem[j]``, read-only."""
+        idem = np.flatnonzero(self.idempotents)
+        return _frozen(idem), _frozen(self.right_rows(idem))
+
+    @cached_property
     def linked(self):
         """The linked pairs (s, e): e * e = e and s * e = s, read from the
         idempotent columns."""
-        idem = np.flatnonzero(self.idempotents)
-        s, j = np.nonzero(self.table[:, idem] == np.arange(self.size)[:, None])
+        idem, cols = self.idempotent_columns
+        s, j = np.nonzero(cols == np.arange(self.size)[:, None])
         return PairSet(zip(s.tolist(), idem[j].tolist()))
 
     @cached_property
@@ -228,12 +257,7 @@ class Semigroup:
         table[n, :] = table[:, n] = np.arange(n + 1)
         return _frozen(table)
 
-    # -- Cayley graphs and Green's relations ----------------------------------
-
-    @property
-    def right_cayley(self):
-        """``right_cayley[s, j] = s * generators[j]``."""
-        return self.table[:, list(self.generators)]
+    # -- Green's relations ----------------------------------------------------
 
     def green_classes(self, kind):
         """Green's R- ('R') or L- ('L') classes, from the definition.
@@ -258,7 +282,7 @@ class Semigroup:
 
 def _frozen(a):
     """``a``, marked read-only so that cached arrays can be shared."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 

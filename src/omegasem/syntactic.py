@@ -42,16 +42,16 @@ def maximal_pair_set(morphism: Morphism, accepting: PairSet, *,
     idempotent power of t.  P must be conjugation-closed.  Q agrees with P
     on the linked pairs, so only the rows and columns that seed
     minimisation need the pairs of Q outside them.  P is scattered into an
-    |S| x |E| lookup first, which is gathered at ``table[:, idem]``.
+    |S| x |E| lookup first, which is gathered at the idempotent columns.
     """
     if audit and not is_conjugation_closed(morphism, accepting):
         raise NotClosed("accepting set is not closed under conjugation")
     sg = morphism.semigroup
-    idem = np.flatnonzero(sg.idempotents)
+    idem, cols = sg.idempotent_columns
     s, e = accepting.arrays()
     lookup = np.zeros((sg.size, len(idem)), dtype=bool)
     lookup[s, np.searchsorted(idem, e)] = True
-    return lookup[sg.table[:, idem], np.arange(len(idem))]
+    return lookup[cols, np.arange(len(idem))]
 
 
 class RefinablePartition:
@@ -195,22 +195,23 @@ def bfs_numbered(alphabet, images, right_columns):
     return Morphism(alphabet, sg, seeds), renum
 
 
-def _moore(table, letters, class_of, rounds):
+def _moore(right, left, class_of, rounds):
     """Refine ``class_of`` by at most ``rounds`` Moore rounds.
 
-    A round groups the rows (class of s, classes of s a and of a s for each
-    letter image a).  A round that adds no class proves the partition stable
-    under every generator on both sides, that is a congruence, and then the
-    coarsest one below the partition it started from.  Returns
-    ``(class_of, stable)``.
+    ``right[s, j] = s a_j`` and ``left[j, s] = a_j s`` for the letter images
+    a_j.  A round groups the rows (class of s, classes of s a and of a s
+    for each letter image a).  A round that adds no class proves the
+    partition stable under every generator on both sides, that is a
+    congruence, and then the coarsest one below the partition it started
+    from.  Returns ``(class_of, stable)``.
     """
     count = int(class_of.max()) + 1
-    k = len(letters)
+    k = right.shape[1]
     rows = np.empty((len(class_of), 1 + 2 * k), dtype=np.int32)
     for _ in range(rounds):
         rows[:, 0] = class_of
-        rows[:, 1:1 + k] = class_of[table[:, letters]]
-        rows[:, 1 + k:] = class_of[table[letters, :]].T
+        rows[:, 1:1 + k] = class_of[right]
+        rows[:, 1 + k:] = class_of[left].T
         class_of, new_count = group_rows(rows)
         if new_count == count:
             return class_of, True
@@ -218,8 +219,9 @@ def _moore(table, letters, class_of, rounds):
     return class_of, False
 
 
-def _hopcroft(table, letters, initial):
-    """The coarsest congruence below ``initial`` by Hopcroft's refinement.
+def _hopcroft(right, left, initial):
+    """The coarsest congruence below ``initial`` by Hopcroft's refinement,
+    on the rows that ``_moore`` takes.
 
     Returns ``(class_of, split_work)``, where ``split_work`` counts the
     elements touched by Splits: at most 2 |A'| n log2 n for the |A'| letter
@@ -228,8 +230,8 @@ def _hopcroft(table, letters, initial):
     n = len(initial)
     part = RefinablePartition(initial)
     # preimage lists x h(a)^-1 and h(a)^-1 x for each letter image h(a)
-    pres = [preimages(side, n) for x in letters
-            for side in (table[:, x], table[x, :])]
+    pres = [preimages(side, n) for j in range(len(left))
+            for side in (right[:, j], left[j])]
     while part.worklist:
         # a list, not the view: the splits reorder the class segments
         members = part.members(part.pop()).tolist()
@@ -247,35 +249,43 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     ``audit`` a non-closed P raises ``NotClosed``.
     """
     morphism = rec.morphism
-    table = morphism.semigroup.table
+    sg = morphism.semigroup
     letters = sorted(set(morphism.images))
+    right, left = sg.right_rows(letters), sg.left_rows(letters)
     initial = initial_partition(
-        morphism.semigroup,
-        maximal_pair_set(morphism, rec.accepting, audit=audit))
-    class_of, stable = _moore(table, letters, initial, _MOORE_ROUNDS)
+        sg, maximal_pair_set(morphism, rec.accepting, audit=audit))
+    class_of, stable = _moore(right, left, initial, _MOORE_ROUNDS)
     split_work = 0
     if not stable:
         # from the initial partition, so that the split work does not
         # depend on the rounds tried first
-        class_of, split_work = _hopcroft(table, letters, initial)
+        class_of, split_work = _hopcroft(right, left, initial)
     # quotient under the stable partition, renumbered by BFS from the
-    # letter images so that equal inputs yield identical element numbering
+    # letter images so that equal inputs yield identical element numbering;
+    # a class is multiplied by any letter image in it, which a congruence
+    # allows
     _, rep_arr, tmp_of = np.unique(class_of, return_index=True,
                                    return_inverse=True)
+    column = {int(tmp_of[x]): j for j, x in enumerate(letters)}
     new_morphism, renum = bfs_numbered(
         morphism.alphabet, [int(tmp_of[x]) for x in morphism.images],
-        lambda gens: tmp_of[table[np.ix_(rep_arr, rep_arr[gens])]])
+        lambda gens: tmp_of[right[np.ix_(rep_arr,
+                                         [column[c] for c in gens])]])
     quotient = new_morphism.semigroup
     projection = renum[tmp_of].astype(np.int64)
     proj = projection.tolist()
     accepting = PairSet((proj[s], proj[e]) for s, e in rec.accepting)
     if audit:
-        # congruence well-definedness: the quotient table must not depend on
-        # the choice of representatives; the quotient of an associative
-        # table by a congruence is associative, so this also vouches for
-        # the rows that close_generators read
-        if not np.array_equal(projection[table],
-                              quotient.table[projection][:, projection]):
+        # congruence by letter images: pi(s a) = pi(s) pi(a) makes pi(s w)
+        # the walk of w from pi(s), and pi(a s) = pi(a) pi(s) makes pi(s t)
+        # depend on pi(t) only, so together pi(s t) = pi(s) pi(t).  The
+        # quotient of an associative table by a congruence is associative,
+        # so this also vouches for the rows that close_generators read
+        pa = projection[letters]
+        if not (np.array_equal(projection[right],
+                               quotient.right_rows(pa)[projection])
+                and np.array_equal(projection[left],
+                                   quotient.left_rows(pa)[:, projection])):
             raise NotClosed("refinement did not produce a congruence")
         if not is_conjugation_closed(new_morphism, accepting):
             raise NotClosed("projected accepting set is not closed")

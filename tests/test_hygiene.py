@@ -234,3 +234,51 @@ def test_every_dataclass_field_is_read():
             if name not in used:
                 found.append("%s:%d: %s" % (path.name, line, name))
     assert not found, "dataclass fields nothing reads:\n" + "\n".join(found)
+
+
+# the only readers of the dense table outside semigroup.py: the two that
+# need general products
+TABLE_READERS = {("inclusion.py", "inclusion_test"),
+                 ("formats.py", "dumps_recognizer")}
+
+
+def table_reads(source):
+    """``(line, function)`` for each read of ``.table`` or
+    ``.monoid_table``, named by the innermost enclosing function (or
+    ``<module>``)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("table", "monoid_table")
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_table_read_detector():
+    source = ("t = sg.table\n"
+              "class C:\n"
+              "    def f(self):\n"
+              "        def g():\n"
+              "            return self.sg.monoid_table[0]\n"
+              "        self.table = g()\n"
+              "        return table, self.tables\n")
+    assert table_reads(source) == [(1, "<module>"), (5, "g")]
+
+
+def test_only_named_readers_touch_the_table():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "semigroup.py":
+            continue
+        for line, where in table_reads(path.read_text(encoding="utf-8")):
+            if (path.name, where) not in TABLE_READERS:
+                found.append("%s:%d: in %s" % (path.name, line, where))
+    assert not found, "reads of the dense table:\n" + "\n".join(found)

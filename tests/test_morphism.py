@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from omegasem import (EmptyPeriod, Morphism, NotLinkedPair, PairSet,
                       Recognizer, Semigroup, UPWord, UnknownLetter, is_empty,
-                      linked_pairs, member, universal_recognizer)
+                      linked_pairs, member, minimize, universal_recognizer)
+from omegasem.formats import dumps_recognizer, loads_recognizer
 
 from conftest import (random_recognizer, random_transformation_morphism,
                       random_upword, section5_morphism)
@@ -36,6 +38,35 @@ def test_morphism_rejects_images_missing_a_generator():
     # the images generate only {0}, so rep_word(1) would have no letter
     with pytest.raises(ValueError):
         Morphism(("a",), Semigroup([[0, 1], [1, 0]], [1]), [0])
+
+
+def same_tables(h1, h2):
+    """Equal letters, images and full tables."""
+    return (h1.alphabet == h2.alphabet and h1.images == h2.images
+            and np.array_equal(h1.semigroup.table, h2.semigroup.table))
+
+
+def test_same_as_agrees_with_the_tables(rng):
+    # same_as reads generators and right Cayley rows, not the tables
+    outcomes = set()
+    for _ in range(200):
+        h1, h2 = (random_transformation_morphism(rng, degree=2,
+                                                 alphabet=("a", "b"))
+                  for _ in range(2))
+        outcomes.add(h1.same_as(h2))
+        assert h1.same_as(h2) == same_tables(h1, h2)
+    assert outcomes == {True, False}
+    for _ in range(20):
+        rec = random_recognizer(rng, max_size=12, alphabet=("a", "b"))
+        for generated in (False, True):
+            back = loads_recognizer(dumps_recognizer(
+                rec, generated=generated)).morphism
+            assert back.same_as(rec.morphism)
+            assert same_tables(back, rec.morphism)
+        small = minimize(rec)
+        again = minimize(small).morphism
+        assert again.same_as(small.morphism)
+        assert same_tables(again, small.morphism)
 
 
 def test_linked_pairs_definition(rng):

@@ -283,6 +283,31 @@ def test_green_classes_match_definition(rng):
             assert sg.green_classes(kind)[0] is class_of
 
 
+def test_library_semigroups_are_read_only():
+    sg, _, _ = close_generators([1], lambda x: [(x + 1) % 5])
+    for a in (sg.table, sg.right_cayley, sg.parent, sg.parent_gen):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        sg.table[0, 0] = 0
+
+
+def test_row_accessors_read_the_products(rng):
+    for _ in range(20):
+        sg = random_transformation_morphism(rng, max_size=30).semigroup
+        xs = [rng.randrange(sg.size) for _ in range(3)]
+        right, left = sg.right_rows(xs), sg.left_rows(xs)
+        idem, cols = sg.idempotent_columns
+        assert idem.tolist() == [e for e in range(sg.size)
+                                 if sg.mul(e, e) == e]
+        for s in range(sg.size):
+            assert right[s].tolist() == [sg.mul(s, x) for x in xs]
+            assert left[:, s].tolist() == [sg.mul(x, s) for x in xs]
+            assert cols[s].tolist() == [sg.mul(s, e) for e in idem]
+        assert np.array_equal(sg.right_rows(sg.generators), sg.right_cayley)
+        assert not cols.flags.writeable
+        assert sg.idempotent_columns is sg.idempotent_columns
+
+
 def test_monoid_table_identity():
     sg = z_mod(3)
     table = sg.monoid_table

@@ -10,6 +10,7 @@ from omegasem import (NotClosed, PairSet, Recognizer, adversarial_fixture,
                       maximal_pair_set, member, minimize, syntactic_morphism,
                       universal_recognizer, weak_to_strong)
 from omegasem.langops import language_equivalent
+from omegasem import syntactic
 from omegasem.mso import FAMILIES, compile_formula
 from omegasem.syntactic import (_MOORE_ROUNDS, _hopcroft, _moore,
                                 initial_partition, t_semigroup_values,
@@ -168,6 +169,24 @@ def test_audit_rejects_non_closed_strong_input():
     assert syntactic_morphism(closed, audit=True).recognizer.accepting
 
 
+def test_audit_catches_a_partition_that_is_no_congruence(monkeypatch):
+    # Moore rounds that call the initial partition stable: the quotient is
+    # then built from a partition that need not be a congruence, and the
+    # audit's check by letter images must refuse it on some draw
+    monkeypatch.setattr(syntactic, "_moore",
+                        lambda right, left, class_of, rounds: (class_of,
+                                                               True))
+    rng = random.Random(21)
+    refused = []
+    for _ in range(10):
+        rec = strongify(random_recognizer(rng, max_size=20))
+        try:
+            syntactic_morphism(rec, audit=True)
+        except NotClosed as exc:
+            refused.append(str(exc))
+    assert any("congruence" in msg for msg in refused)
+
+
 def test_projection_is_the_quotient_map(rng):
     for _ in range(15):
         rec = strongify(random_recognizer(rng, max_size=16))
@@ -194,11 +213,15 @@ def test_split_work_bound(rng):
 
 
 def refinement_input(rec):
-    """``(table, letters, initial)`` as ``syntactic_morphism`` refines them."""
+    """``(right, left, initial)`` as ``syntactic_morphism`` refines them:
+    the right and left rows of the letter images and the initial
+    partition."""
     h = rec.morphism
+    letters = sorted(set(h.images))
     initial = initial_partition(h.semigroup,
                                 maximal_pair_set(h, rec.accepting))
-    return h.semigroup.table, sorted(set(h.images)), initial
+    return (h.semigroup.right_rows(letters), h.semigroup.left_rows(letters),
+            initial)
 
 
 def closed_adversarial(n):
@@ -229,10 +252,10 @@ def test_moore_rounds_agree_with_hopcroft(rng):
             for _ in range(20)]
     recs += [closed_adversarial(2), closed_adversarial(3)]
     for rec in recs:
-        table, letters, initial = refinement_input(rec)
-        moore, stable = _moore(table, letters, initial, len(initial) + 1)
+        right, left, initial = refinement_input(rec)
+        moore, stable = _moore(right, left, initial, len(initial) + 1)
         assert stable
-        hopcroft, _ = _hopcroft(table, letters, initial)
+        hopcroft, _ = _hopcroft(right, left, initial)
         assert same_partition(moore, hopcroft)
 
 
@@ -240,8 +263,7 @@ def test_adversarial_fixture_takes_hopcroft_fallback():
     # the pinned minimize-adversarial split work at n = 3: the Moore rounds
     # do not settle, and Hopcroft starts from the initial partition
     rec = closed_adversarial(3)
-    table, letters, initial = refinement_input(rec)
-    assert not _moore(table, letters, initial, _MOORE_ROUNDS)[1]
+    assert not _moore(*refinement_input(rec), _MOORE_ROUNDS)[1]
     result = syntactic_morphism(rec, audit=True)
     assert result.split_work == 359
     assert result.recognizer.morphism.semigroup.size == 14
