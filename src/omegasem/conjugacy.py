@@ -81,7 +81,7 @@ def approx_classes(morphism: Morphism, pairs):
     return out
 
 
-def conjugacy_classes(morphism: Morphism, pairs=None) -> ConjugacyResult:
+def conjugacy_classes(morphism: Morphism) -> ConjugacyResult:
     """Partition the linked pairs of a morphism into conjugacy classes.
 
     Worklist algorithm: start from the nontrivial approximation classes,
@@ -89,10 +89,7 @@ def conjugacy_classes(morphism: Morphism, pairs=None) -> ConjugacyResult:
     by the letter images until stable.
     """
     sg = morphism.semigroup
-    if pairs is None:
-        pairs = linked_pairs(sg).pairs()
-    else:
-        pairs = list(pairs)
+    pairs = linked_pairs(sg).pairs()
     pair_index = {p: i for i, p in enumerate(pairs)}
     uf = UnionFind(len(pairs))
     worklist = []
@@ -144,11 +141,9 @@ def conjugacy_classes(morphism: Morphism, pairs=None) -> ConjugacyResult:
 
 def close_under_conjugation(morphism: Morphism, accepting: PairSet) -> PairSet:
     """The smallest conjugation-closed superset of ``accepting``."""
-    sg = morphism.semigroup
-    lp = linked_pairs(sg)
-    if not accepting.issubset(lp):
+    if not accepting.issubset(linked_pairs(morphism.semigroup)):
         raise NotLinkedPair("accepting set contains a non-linked pair")
-    result = conjugacy_classes(morphism, lp.pairs())
+    result = conjugacy_classes(morphism)
     hit = {result.class_of[p] for p in accepting}
     return PairSet(p for cid in hit for p in result.classes[cid])
 

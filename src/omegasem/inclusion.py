@@ -13,8 +13,11 @@ For a weak Q, ``inclusion_test`` searches triples (s, x, y) in
 S x S^1 x S^1, starting from (s, e, 1) for (s, e) in P and peeling letters
 off x from the right.  If a triple (s, 1, y) is reached whose Q-check
 failed along the way, the word u v^omega with u in h^-1(s) and v read off
-the parent chain witnesses non-inclusion.  At most |S| (|S|+1)^2 triples
-are ever visited; the visited set holds only those reached.
+the parent chain witnesses non-inclusion.  The identity of S^1 is the
+sentinel ``None`` and is never multiplied: 1 x = x, and x h(a)^-1 (the p
+in S^1 with p h(a) = x) is a preimage list of one right-row gather,
+followed by 1 when x = h(a).  At most |S| (|S|+1)^2 triples are ever
+visited; the visited set holds only those reached.
 """
 
 from __future__ import annotations
@@ -43,48 +46,48 @@ def inclusion_test(morphism: Morphism, p_set: PairSet,
     """Decide [P] subseteq [Q]; on failure produce a witness word."""
     sg = morphism.semigroup
     n = sg.size
-    one = n  # the identity of S^1 in ``monoid_table``
     lp = linked_pairs(sg)
     for ps in (p_set, q_set):
         if not ps.issubset(lp):
             raise NotLinkedPair("pair set contains a non-linked pair")
-    table = sg.monoid_table
-    mul = table.item
-    # x a^-1 = {p in S^1 : p h(a) = x}; the identity lands last in h(a) a^-1
-    letters = [(a, ha, preimages(table[:, ha], n + 1))
-               for a, ha in zip(morphism.alphabet, morphism.images)]
+    mul = sg.mul
+    cols = sg.right_rows(list(morphism.images))
+    # x h(a)^-1 = {p in S^1 : p h(a) = x}, the identity last in h(a) h(a)^-1
+    letters = []
+    for j, (a, ha) in enumerate(zip(morphism.alphabet, morphism.images)):
+        order, start = preimages(cols[:, j], n)
+        pre = [order[start[x]:start[x + 1]] for x in range(n)]
+        pre[ha].append(None)
+        letters.append((a, ha, pre))
     stack = []
     parent = {}  # visited (s, x, y) -> (letter, successor) for the v-word
     for (s, e) in p_set.pairs():
-        if (s, e, one) not in parent:
-            stack.append((s, e, one))
-            parent[(s, e, one)] = None
+        if (s, e, None) not in parent:
+            stack.append((s, e, None))
+            parent[(s, e, None)] = None
     visited = 0
 
     while stack:
-        s, x, y = stack.pop()
+        node = stack.pop()
+        s, x, y = node
         visited += 1
-        if x == one:
+        if x is None:
             u = morphism.rep_word(s)
             v = []
-            node = (s, x, y)
             while parent[node] is not None:
-                letter, nxt = parent[node]
+                letter, node = parent[node]
                 v.append(letter)
-                node = nxt
             return InclusionResult(False, UPWord(tuple(u), tuple(v)), visited)
-        sx = mul(s, x)
-        yx = mul(y, x)
-        yxyx = mul(yx, yx)
+        yx = x if y is None else mul(y, x)
         # the identity of S^1 is in no pair of Q
-        if (sx, yxyx) in q_set:
+        if (mul(s, x), mul(yx, yx)) in q_set:
             continue
-        for a, ha, (order, start) in letters:
-            hay = mul(ha, y)
-            for p in order[start[x]:start[x + 1]]:
+        for a, ha, pre in letters:
+            hay = ha if y is None else mul(ha, y)
+            for p in pre[x]:
                 triple = (s, p, hay)
                 if triple not in parent:
-                    parent[triple] = (a, (s, mul(p, ha), y))
+                    parent[triple] = (a, node)  # p h(a) = x
                     stack.append(triple)
     return InclusionResult(True, None, visited)
 

@@ -156,12 +156,15 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     hv = pe[0]
     for x in pe[1:]:
         hv = mul(hv, x)
-    fpow, mpow = h.semigroup.idempotent_powers
-    f, m = int(fpow[hv]), int(mpow[hv])
+    f = int(h.semigroup.idempotent_powers[hv])
     hu = h.evaluate(prefix)
     if rec.mode == "strong":
         return (mul(hu, f), f) in rec.accepting
-    # weak: normalize to u' = u v^m, v' = v^m, then scan splits of v'
+    # weak: normalize to u' = u v^m, v' = v^m with m least, h(v)^m = f,
+    # then scan splits of v'
+    m, power = 1, hv
+    while power != f:
+        m, power = m + 1, mul(power, hv)
     vp = period * m
     n = len(vp)
     imgs = [h.image(a) for a in vp]

@@ -23,11 +23,11 @@ guarantee it (for example one where the variable occurs only under a
 negation), so that it survives complementation.
 
 The constants of the logic (the atom recognizers, the one-position
-constraint, the alphabets 2^V and the track-erasing maps) depend only on
-a track count and the ranks of the variables, so each is built once per
-process, on first use, and shared read-only by every later compile.  A
-process pays for them once; nothing keyed by a formula is cached across
-``compile_formula`` calls.
+constraint among them as ``x in x``, the alphabets 2^V and the
+track-erasing maps) depend only on a track count and the ranks of the
+variables, so each is built once per process, on first use, and shared
+read-only by every later compile.  A process pays for them once; nothing
+keyed by a formula is cached across ``compile_formula`` calls.
 """
 
 from __future__ import annotations
@@ -447,7 +447,9 @@ def _bit(letter: str, vs: List[str], v: str) -> int:
 
 def _atom_buchi(kind, width: int, i: int, j: int) -> BuchiAutomaton:
     """The atom ``kind`` over 2^width: ``x in X``, ``x < y`` or ``y = x + 1``
-    with x the track of rank i and X or y the track of rank j."""
+    with x the track of rank i and X or y the track of rank j.  ``x in x``
+    (i = j) is the one-position constraint: track i holds at exactly one
+    position."""
     letters = _alphabet(width)
     trans = []
     if kind is In:
@@ -478,19 +480,6 @@ def _atom_buchi(kind, width: int, i: int, j: int) -> BuchiAutomaton:
     raise TypeError("not an atom: %r" % (kind,))
 
 
-def _singleton_buchi(width: int, i: int) -> BuchiAutomaton:
-    """Words over 2^width whose track of rank i holds at exactly one
-    position."""
-    letters = _alphabet(width)
-    trans = []
-    for a in letters:
-        if a[i] == "0":
-            trans += [(0, a, 0), (1, a, 1)]
-        else:
-            trans.append((0, a, 1))
-    return BuchiAutomaton.from_triples(2, letters, trans, [0], [1])
-
-
 def _constant(aut: BuchiAutomaton) -> Recognizer:
     """The syntactic recognizer of L(aut), built with every audit check.
     It is read-only, as every semigroup the library builds is, so one copy
@@ -501,11 +490,6 @@ def _constant(aut: BuchiAutomaton) -> Recognizer:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _atom(kind, width: int, i: int, j: int) -> Recognizer:
     return _constant(_atom_buchi(kind, width, i, j))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _singleton(width: int, i: int) -> Recognizer:
-    return _constant(_singleton_buchi(width, i))
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +597,11 @@ class Compiler:
     already guarantee it (``_guarded``).
 
     The memo lives for one ``compile`` call: nothing keyed by a formula or
-    a subformula outlives it.  The atoms, the one-position constraints,
-    the alphabets and the erasing maps are the only things shared across
-    calls; they depend on a track count and variable ranks alone, and each
-    is built once per process (with every ``audit`` check) and read-only.
+    a subformula outlives it.  The atoms (the one-position constraint
+    among them as ``x in x``), the alphabets and the erasing maps are the
+    only things shared across calls; they depend on a track count and
+    variable ranks alone, and each is built once per process (with every
+    ``audit`` check) and read-only.
     """
 
     def __init__(self, *, audit=False):
@@ -670,7 +655,8 @@ class Compiler:
                 return sub
             if not is_second_order(phi.var) \
                     and phi.var not in _guarded(phi.body):
-                sub = intersect(sub, _singleton(len(sfv), sfv.index(phi.var)),
+                r = sfv.index(phi.var)
+                sub = intersect(sub, _atom(In, len(sfv), r, r),
                                 audit=self.audit)
             return project(sub, _erasing_map(sfv, fv), audit=self.audit)
         raise TypeError("not a formula: %r" % (phi,))

@@ -6,15 +6,16 @@ the library builds comes out of one enumeration (Froidure and Pin's):
 times all generators per call, numbers elements in discovery order and
 records the element and generator each came from.
 ``Semigroup.from_right_cayley`` fills the table along that tree, so equal
-inputs always yield identical tables, and marks table, rows and tree
-read-only.
+inputs always yield identical tables.  Table, rows and tree are read-only
+on every semigroup; a table from outside is copied first.
 
 The table is this module's secret.  Readers elsewhere name the data they
 need: ``right_cayley`` (stored), ``right_rows(xs)`` (s x) and
 ``left_rows(xs)`` (x s) at the letter images, ``idempotent_columns``
-(s e) and ``mul``.  Only two readers need general products and touch the
-table itself: ``inclusion.inclusion_test``, through ``monoid_table``, and
-the full form of ``formats.dumps_recognizer``.
+(s e) and ``mul``.  No copy of the table is derived, not even for the
+monoid S^1: readers that need its identity keep it as a sentinel they
+never multiply.  Only the full form of ``formats.dumps_recognizer``
+touches the table itself.
 
 Checks sit where a table comes from outside: ``Semigroup(table,
 generators)`` checks its range, that the generators generate it
@@ -22,15 +23,14 @@ generators)`` checks its range, that the generators generate it
 does the same for ``table: generated`` rows.  One budget bounds every
 table: ``check_table_budget`` refuses an n x n int32 table larger than the
 memory this process may use (the physical memory, or a lower
-``RLIMIT_AS``); the full table and the S^1 table are checked before they
-are allocated, and ``close_generators`` stops before an element whose
-table it would refuse.
+``RLIMIT_AS``); the full table is checked before it is allocated, and
+``close_generators`` stops before an element whose table it would refuse.
 
 Derived data is computed from the table with array operations the first
 time it is asked for and cached on the semigroup: the idempotents, their
-columns, idempotent powers, the table of the monoid S^1 and Green's R-
-and L-classes as read-only arrays, and the linked pairs as a ``PairSet``,
-an immutable set of (s, e) pairs.
+columns, idempotent powers and Green's R- and L-classes as read-only
+arrays, and the linked pairs as a ``PairSet``, an immutable set of (s, e)
+pairs.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class Semigroup:
     """
 
     def __init__(self, table, generators):
-        table = np.asarray(table, dtype=np.int32)
+        table = np.array(table, dtype=np.int32)  # a copy: it is frozen below
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValueError("table must be square")
@@ -129,11 +129,11 @@ class Semigroup:
         self.check_associativity()
 
     def _set(self, table, rc, generators, parent, parent_gen):
-        self.table = table
-        self.right_cayley = rc
+        self.table = _frozen(table)
+        self.right_cayley = _frozen(rc)
         self.generators = tuple(int(g) for g in generators)
-        self.parent = np.asarray(parent, dtype=np.int32)
-        self.parent_gen = np.asarray(parent_gen, dtype=np.int32)
+        self.parent = _frozen(np.asarray(parent, dtype=np.int32))
+        self.parent_gen = _frozen(np.asarray(parent_gen, dtype=np.int32))
         self._green = {}
 
     @classmethod
@@ -153,8 +153,6 @@ class Semigroup:
         sg = cls.__new__(cls)
         sg._set(_fill_table(rc, generators, *tree), rc, generators, parent,
                 parent_gen)
-        for a in (sg.table, sg.right_cayley, sg.parent, sg.parent_gen):
-            _frozen(a)
         return sg
 
     def check_associativity(self):
@@ -230,32 +228,19 @@ class Semigroup:
 
     @cached_property
     def idempotent_powers(self):
-        """``(e, m)``: ``e[s] = s^m[s]`` is idempotent, ``m[s] >= 1`` least.
+        """``e[s]``: the idempotent power of s, the one idempotent among
+        s, s^2, s^3, ...
 
         All elements step through their powers together; an element drops
         out as soon as its current power is idempotent.
         """
         idem = self.idempotents
         e = np.arange(self.size, dtype=np.int32)
-        m = np.ones(self.size, dtype=np.int64)
         todo = np.nonzero(~idem)[0]
         while len(todo):
             e[todo] = self.table[e[todo], todo]
-            m[todo] += 1
             todo = todo[~idem[e[todo]]]
-        return _frozen(e), _frozen(m)
-
-    @cached_property
-    def monoid_table(self):
-        """The table of S^1: a fresh identity adjoined at index ``size``,
-        even when the semigroup already has a neutral element.  Checks the
-        budget before allocating it."""
-        n = self.size
-        check_table_budget(n + 1)
-        table = np.empty((n + 1, n + 1), dtype=np.int32)
-        table[:n, :n] = self.table
-        table[n, :] = table[:, n] = np.arange(n + 1)
-        return _frozen(table)
+        return _frozen(e)
 
     # -- Green's relations ----------------------------------------------------
 
@@ -344,7 +329,9 @@ def cayley_bfs(rc, generators):
 def check_table_budget(n, entry_bytes=4):
     """Raise ``ClosureCapExceeded`` if an n x n table of ``entry_bytes``
     bytes per entry (int32 by default) needs more memory than this process
-    may use."""
+    may use.  Checked before the dense table (``_fill_table``), a loaded
+    full table, and the letter matrices of ``morphism_to_buchi`` and the
+    Büchi loader, which allocate n x n bytes per letter."""
     need = entry_bytes * n * n
     if need > _MEMORY_LIMIT:
         raise ClosureCapExceeded(

@@ -167,7 +167,7 @@ def initial_partition(semigroup: Semigroup, qe: np.ndarray):
     power."""
     row_ids, _ = group_rows(np.packbits(qe, axis=1))
     col = np.cumsum(semigroup.idempotents) - 1
-    fpow, _ = semigroup.idempotent_powers
+    fpow = semigroup.idempotent_powers
     col_ids, n_cols = group_rows(np.packbits(qe, axis=0).T[col[fpow]])
     _, class_of = np.unique(row_ids * n_cols + col_ids, return_inverse=True)
     return class_of

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from omegasem import (Morphism, PairSet, Recognizer, Semigroup,
@@ -110,6 +111,15 @@ def random_upword(rng, alphabet, max_prefix=4, max_period=4):
     return UPWord(prefix, period)
 
 
+def s1_table(sg):
+    """The table of the monoid S^1, built from ``sg.mul``: a fresh identity
+    adjoined at index ``sg.size``, even when S already has a neutral
+    element."""
+    one = sg.size
+    return np.array([[t if s == one else s if t == one else sg.mul(s, t)
+                      for t in range(one + 1)] for s in range(one + 1)])
+
+
 def brute_force_conjugacy(morphism):
     """Reference partition: one-step conjugacy closed transitively.
 
@@ -119,7 +129,7 @@ def brute_force_conjugacy(morphism):
     sg = morphism.semigroup
     n = sg.size
     one = n
-    mul = sg.monoid_table.item
+    mul = s1_table(sg).item
 
     pairs = linked_pairs(sg).pairs()
     index = {p: i for i, p in enumerate(pairs)}

@@ -25,7 +25,7 @@ from omegasem.syntactic import (_t_multiply, adversarial_fixture, minimize,
 
 from conftest import (brute_force_conjugacy, random_pair_set,
                       random_recognizer, random_transformation_morphism,
-                      random_upword, section5_morphism)
+                      random_upword, s1_table, section5_morphism)
 from test_buchi import random_buchi
 from test_mso import check_against_evaluator, random_formula
 
@@ -160,7 +160,7 @@ class LassoOracle:
         self.rec = rec
         sg = rec.morphism.semigroup
         self.one = sg.size  # the identity of S^1
-        self.mul = sg.monoid_table.item
+        self.mul = s1_table(sg).item
         self.images = dict(zip(rec.morphism.alphabet, rec.morphism.images))
         self.pairs = list(rec.accepting.pairs())
         self._masks = {}

@@ -12,7 +12,7 @@ from omegasem.formats import dumps_recognizer
 
 from conftest import (random_pair_set, random_recognizer,
                       random_transformation_morphism, random_upword,
-                      section5_morphism)
+                      s1_table, section5_morphism)
 
 
 def random_buchi(rng, *, max_states=4, alphabet=("a", "b")):
@@ -156,7 +156,7 @@ def loop_morphism_to_buchi(rec):
     states (s, e) in S^1 x E, and (s, e) -a-> (t, e) iff h(a) t is s or s e."""
     h = rec.morphism
     sg = h.semigroup
-    mul = sg.monoid_table.item
+    mul = s1_table(sg).item
     one = sg.size
     idems = [int(e) for e in np.nonzero(sg.idempotents)[0]]
     states = {}

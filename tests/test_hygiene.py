@@ -236,23 +236,20 @@ def test_every_dataclass_field_is_read():
     assert not found, "dataclass fields nothing reads:\n" + "\n".join(found)
 
 
-# the only readers of the dense table outside semigroup.py: the two that
-# need general products
-TABLE_READERS = {("inclusion.py", "inclusion_test"),
-                 ("formats.py", "dumps_recognizer")}
+# the only reader of the dense table outside semigroup.py: the full dump
+TABLE_READERS = {("formats.py", "dumps_recognizer")}
 
 
 def table_reads(source):
-    """``(line, function)`` for each read of ``.table`` or
-    ``.monoid_table``, named by the innermost enclosing function (or
-    ``<module>``)."""
+    """``(line, function)`` for each read of ``.table``, named by the
+    innermost enclosing function (or ``<module>``)."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         if (isinstance(node, ast.Attribute)
-                and node.attr in ("table", "monoid_table")
+                and node.attr == "table"
                 and isinstance(node.ctx, ast.Load)):
             found.append((node.lineno, where))
         for child in ast.iter_child_nodes(node):
@@ -267,7 +264,7 @@ def test_table_read_detector():
               "class C:\n"
               "    def f(self):\n"
               "        def g():\n"
-              "            return self.sg.monoid_table[0]\n"
+              "            return self.sg.table[0]\n"
               "        self.table = g()\n"
               "        return table, self.tables\n")
     assert table_reads(source) == [(1, "<module>"), (5, "g")]

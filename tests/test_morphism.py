@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,40 @@ def test_member_strong_weak_agree(rng):
         for _ in range(50):
             w = random_upword(rng, rec.alphabet)
             assert member(weak, w) == member(strong, w)
+
+
+def cyclic_morphism(index, period):
+    """a -> a and b -> a^2 onto the cyclic semigroup <a | a^(index+period)
+    = a^index>; element k is a^(k+1)."""
+    n = index + period - 1
+
+    def reduce(k):  # the element a^k
+        return k if k <= n else index + (k - index) % period
+
+    table = [[reduce(i + j) - 1 for j in range(1, n + 1)]
+             for i in range(1, n + 1)]
+    return Morphism(("a", "b"), Semigroup(table, [0]), [0, reduce(2) - 1])
+
+
+def test_weak_member_finds_the_exponent_of_its_period():
+    # periods whose image needs m > 1: index 3 and period 4, where a^4 is
+    # the idempotent, and Z_6, where a^6 is; the weak scan agrees with the
+    # strong shortcut on every closed set
+    from omegasem import close_under_conjugation
+    words = [UPWord(u, v) for k in range(3) for j in range(1, 4)
+             for u in itertools.product("ab", repeat=k)
+             for v in itertools.product("ab", repeat=j)]
+    for index, period, omega in ((3, 4, 4), (1, 6, 6)):
+        h = cyclic_morphism(index, period)
+        assert h.semigroup.idempotent_powers[0] == omega - 1  # a^omega
+        lp = linked_pairs(h.semigroup).pairs()
+        closed_sets = {close_under_conjugation(h, PairSet.from_pairs(
+            h.semigroup.size, lp[:k])) for k in range(len(lp) + 1)}
+        for closed in closed_sets:
+            weak = Recognizer(h, closed, "weak")
+            strong = Recognizer(h, closed, "strong")
+            for w in words:
+                assert member(weak, w) == member(strong, w), (closed, w)
 
 
 def test_member_invariant_under_unrolling(rng):

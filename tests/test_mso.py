@@ -384,7 +384,8 @@ def test_guarded_variables_need_no_singleton_product():
         rec, fv = Compiler()._go(node)
         for v in guarded:
             assert not is_second_order(v) and v in fv
-            single = mso._singleton(len(fv), fv.index(v))
+            r = fv.index(v)
+            single = mso._atom(In, len(fv), r, r)
             assert language_included(rec, single).included, (node, v)
             route = project(intersect(rec, single),
                             _erasing_map(fv, set(fv) - {v}))
@@ -519,7 +520,7 @@ def test_sample_models_are_members():
 
 
 def clear_constants():
-    for cache in (mso._atom, mso._singleton, mso._alphabet, mso._erasing):
+    for cache in (mso._atom, mso._alphabet, mso._erasing):
         cache.cache_clear()
 
 
@@ -530,13 +531,24 @@ def cold(aut):
 def test_constants_equal_a_cold_build():
     atoms = [(kind, 2, i, 1 - i) for kind in (In, Less, Succ) for i in (0, 1)]
     atoms += [(Less, 1, 0, 0), (Succ, 1, 0, 0)]  # x < x and x = x + 1
+    # x in x, the one-position constraint, at widths 1-4
+    atoms += [(In, width, i, i) for width in range(1, 5)
+              for i in range(width)]
     for key in atoms:
         assert dumps_recognizer(mso._atom(*key)) == \
             cold(mso._atom_buchi(*key)), key
+
+
+def test_one_position_constraint_holds_a_track_once():
+    rng = random.Random(2204)
     for width in range(1, 5):
         for i in range(width):
-            assert dumps_recognizer(mso._singleton(width, i)) == \
-                cold(mso._singleton_buchi(width, i)), (width, i)
+            rec = mso._atom(In, width, i, i)
+            for _ in range(40):
+                w = random_upword(rng, var_alphabet(range(width)))
+                hits = [a[i] for a in w.prefix + w.period].count("1")
+                want = hits == 1 and all(a[i] == "0" for a in w.period)
+                assert member(rec, w) == want, (width, i, w)
 
 
 def test_compile_order_does_not_show():

@@ -11,7 +11,8 @@ from omegasem import (ClosureCapExceeded, NonAssociative, Semigroup,
 from omegasem.mso import psi_formula
 from omegasem.semigroup import _MEMORY_LIMIT, cayley_bfs, preimages
 
-from conftest import random_recognizer, random_transformation_morphism
+from conftest import (random_recognizer, random_transformation_morphism,
+                      s1_table)
 
 
 def z_mod(n):
@@ -25,9 +26,7 @@ def test_cyclic_group_basics():
     assert sg.mul(4, 5) == 3
     # the only idempotent of a group is the identity
     assert list(np.nonzero(sg.idempotents)[0]) == [0]
-    e, m = sg.idempotent_powers
-    assert list(e) == [0] * 6
-    assert list(m) == [1, 6, 3, 2, 3, 6]
+    assert list(sg.idempotent_powers) == [0] * 6
 
 
 def test_word_of_reconstructs_elements():
@@ -193,17 +192,6 @@ def test_table_beyond_the_memory_limit_is_refused():
                                     (range(n), parent, parent_gen))
 
 
-def test_monoid_table_beyond_the_memory_limit_is_refused(monkeypatch):
-    # Z/31 has a 3 844-byte table; its S^1 table takes 32^2 * 4 = 4 096
-    sg = z_mod(31)
-    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 4_000)
-    with pytest.raises(ClosureCapExceeded,
-                       match="a 32-element table needs 4096 bytes"):
-        sg.monoid_table
-    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", 4_096)
-    assert sg.monoid_table.shape == (32, 32)
-
-
 def test_light_test_in_row_blocks_reports_the_first_mismatch(monkeypatch):
     # blocks of one row, of a few rows or of the whole table: Light's test
     # names the mismatch that the test over whole arrays finds first
@@ -257,7 +245,7 @@ def brute_force_green(sg, kind):
     y t = s.
     """
     n = sg.size
-    table = sg.monoid_table
+    table = s1_table(sg)
     if kind == "L":
         table = table.T
     reach = [set(table[s].tolist()) for s in range(n)]
@@ -291,6 +279,20 @@ def test_library_semigroups_are_read_only():
         sg.table[0, 0] = 0
 
 
+def test_an_outside_table_is_copied_and_frozen():
+    # writing into the caller's array afterwards changes nothing: the
+    # checks, the stored rows and the table all keep the checked products
+    t = ((np.arange(3)[:, None] + np.arange(3)) % 3).astype(np.int32)
+    sg = Semigroup(t, [1])
+    t[0, 0] = 2
+    assert sg.table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert sg.right_cayley[:, 0].tolist() == [1, 2, 0]
+    for a in (sg.table, sg.right_cayley, sg.parent, sg.parent_gen):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        sg.table[0, 0] = 2
+
+
 def test_row_accessors_read_the_products(rng):
     for _ in range(20):
         sg = random_transformation_morphism(rng, max_size=30).semigroup
@@ -308,34 +310,18 @@ def test_row_accessors_read_the_products(rng):
         assert sg.idempotent_columns is sg.idempotent_columns
 
 
-def test_monoid_table_identity():
-    sg = z_mod(3)
-    table = sg.monoid_table
-    one = sg.size
-    assert one == 3
-    for s in range(3):
-        assert table.item(one, s) == s == table.item(s, one)
-    assert table.item(1, 2) == 0
-    assert table.item(one, one) == one
-    assert table.shape == (4, 4)
-    assert np.array_equal(table[:3, :3], sg.table)
-    assert list(table[one]) == list(table[:, one]) == [0, 1, 2, 3]
-    assert not table.flags.writeable
-    assert sg.monoid_table is table
-
-
 def test_idempotent_power_is_idempotent_everywhere(rng):
     for _ in range(20):
         h = random_transformation_morphism(rng, max_size=100)
         sg = h.semigroup
-        e, m = sg.idempotent_powers
+        e = sg.idempotent_powers
         for s in range(sg.size):
             assert sg.mul(e[s], e[s]) == e[s]
             # walk the powers s, s^2, ... up to the first idempotent one
-            p, k = s, 1
+            p = s
             while sg.mul(p, p) != p:
-                p, k = sg.mul(p, s), k + 1
-            assert (e[s], m[s]) == (p, k)
+                p = sg.mul(p, s)
+            assert e[s] == p
         assert sg.idempotent_powers is sg.idempotent_powers
 
 
