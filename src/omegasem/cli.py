@@ -40,14 +40,14 @@ def _emit_recognizer(rec, args):
             generated=getattr(args, "generated", False))
 
 
-def _verdict(result) -> int:
-    """Print true/false (+ witness) for an InclusionResult-style answer."""
-    if result.included:
+def _verdict(included, witness) -> int:
+    """Print true, or false and the witness word if there is one."""
+    if included:
         print("true")
         return EXIT_TRUE
     print("false")
-    if result.witness is not None:
-        print("witness: %s" % result.witness)
+    if witness is not None:
+        print("witness: %s" % witness)
     return EXIT_FALSE
 
 
@@ -62,30 +62,27 @@ def cmd_minimize(args):
 
 def cmd_check_strong(args):
     rec = formats.load_recognizer(args.recognizer)
-    return _verdict(inclusion.is_strong(rec.morphism, rec.accepting))
+    res = inclusion.is_strong(rec.morphism, rec.accepting)
+    return _verdict(res.included, res.witness)
 
 
 def cmd_include(args):
     left = formats.load_recognizer(args.left)
     right = formats.load_recognizer(args.right)
-    return _verdict(langops.language_included(left, right))
+    res = langops.language_included(left, right)
+    return _verdict(res.included, res.witness)
 
 
 def cmd_equiv(args):
     left = formats.load_recognizer(args.left)
     right = formats.load_recognizer(args.right)
-    equal, witness = langops.language_equivalent(left, right)
-    if equal:
-        print("true")
-        return EXIT_TRUE
-    print("false")
-    print("witness: %s" % witness)
-    return EXIT_FALSE
+    return _verdict(*langops.language_equivalent(left, right))
 
 
 def cmd_universal(args):
     rec = formats.load_recognizer(args.recognizer)
-    return _verdict(inclusion.universal(rec))
+    res = inclusion.universal(rec)
+    return _verdict(res.included, res.witness)
 
 
 def cmd_conjugacy(args):

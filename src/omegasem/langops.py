@@ -1,12 +1,16 @@
 """Boolean operations and alphabet maps on recognized languages.
 
 Complement, union, intersection and the letter maps work on strong, that
-is conjugation-closed, recognizers (``weak_to_strong`` upgrades weak
-inputs) and return minimized strong recognizers.  On the linked pairs a
-closed P equals its maximal pair set, so the operations read the accepting
-sets themselves: complementation takes the linked pairs outside P, and
-projection reads P over the powerset semigroup.  Products and preimages
-are one operation, ``pullback``: union, intersection, inclusion across two
+is conjugation-closed, recognizers and return minimized strong
+recognizers.  Union, intersection and the letter maps share one rule for
+their operands: a weak operand is replaced by its syntactic recognizer
+(``minimize``), the minimal strong recognizer of its language, and a
+strong operand is used as given.  Complementation minimises its operand,
+weak or strong, and flips it (``flip``).  On the linked pairs a closed P
+equals its maximal pair set, so the operations read the accepting sets
+themselves: the flip takes the linked pairs outside P, and projection
+reads P over the powerset semigroup.  Products and preimages are one
+operation, ``pullback``: union, intersection, inclusion across two
 morphisms and inverse projection each pull their accepting sets back onto
 one product morphism.
 
@@ -18,7 +22,7 @@ closed or not; against a weak one they search triples (``inclusion_test``).
 ``inclusion.decide_inclusion`` picks between the two.
 Mode ``"strong"`` is a promise that ``member`` already trusts and the
 recognizer loader checks.  Equivalence upgrades no side; inclusion across
-two morphisms upgrades its right side only.
+two morphisms upgrades its right side only, with ``weak_to_strong``.
 """
 
 from __future__ import annotations
@@ -36,19 +40,29 @@ from .semigroup import close_generators
 from .syntactic import minimize
 
 
-def complement(rec: Recognizer, *, audit=False) -> Recognizer:
-    """A minimized recognizer of the complement language.
+def flip(rec: Recognizer) -> Recognizer:
+    """The linked pairs outside P, over the same morphism.
 
-    A language and its complement have the same syntactic congruence, so
-    flipping the accepting set of a syntactic recognizer already gives the
-    syntactic recognizer of the complement; the MSO compiler, whose
-    recognizers are all syntactic, flips without minimising.  Here the
-    input may be any recognizer, so the result is minimised.
+    For a strong recognizer this recognizes the complement language: a
+    closed P holds every factorisation of its words.  A language and its
+    complement have the same syntactic congruence, so the flip of a
+    syntactic recognizer is the syntactic recognizer of the complement.
     """
-    rec = weak_to_strong(rec)
     lp = linked_pairs(rec.morphism.semigroup)
-    comp = Recognizer(rec.morphism, lp - rec.accepting, "strong")
-    return minimize(comp, audit=audit)
+    return Recognizer(rec.morphism, lp - rec.accepting, "strong")
+
+
+def _operand(rec: Recognizer, audit) -> Recognizer:
+    """An operand as the language operations take it: a weak recognizer
+    minimised, a strong one as given."""
+    return minimize(rec, audit=audit) if rec.mode == "weak" else rec
+
+
+def complement(rec: Recognizer, *, audit=False) -> Recognizer:
+    """The syntactic recognizer of the complement language: the flip of
+    the input's syntactic recognizer, which needs no second
+    minimisation."""
+    return flip(minimize(rec, audit=audit))
 
 
 def pullback(alphabet, parts):
@@ -142,12 +156,12 @@ def language_equivalent(r1: Recognizer, r2: Recognizer):
 
 
 def union(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, (p1, p2) = _pullback_pair(weak_to_strong(r1), weak_to_strong(r2))
+    h, (p1, p2) = _pullback_pair(_operand(r1, audit), _operand(r2, audit))
     return minimize(Recognizer(h, p1 | p2, "strong"), audit=audit)
 
 
 def intersect(r1: Recognizer, r2: Recognizer, *, audit=False) -> Recognizer:
-    h, (p1, p2) = _pullback_pair(weak_to_strong(r1), weak_to_strong(r2))
+    h, (p1, p2) = _pullback_pair(_operand(r1, audit), _operand(r2, audit))
     return minimize(Recognizer(h, p1 & p2, "strong"), audit=audit)
 
 
@@ -186,14 +200,12 @@ def project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recognizer:
     a pair (t, t') of the maximal set with t in X and t' in E gives the
     pair (t f, f) of P, where f is the idempotent power of t', and X E = X.
 
-    A weak input is minimised first: the Büchi round trip of
-    ``weak_to_strong`` can inflate its semigroup many times over, and the
-    powerset closure is exponential in that size.
+    The powerset closure is exponential in |S|, so the minimal strong form
+    of a weak input pays off here most of all.
     """
     if lmap.source != rec.morphism.alphabet:
         raise AlphabetMismatch("letter map source does not match recognizer")
-    if rec.mode == "weak":
-        rec = minimize(rec, audit=audit)
+    rec = _operand(rec, audit)
     h = rec.morphism
     n = h.semigroup.size
     fibers = lmap.fibers()
@@ -239,5 +251,5 @@ def inverse_project(rec: Recognizer, lmap: LetterMap, *, audit=False) -> Recogni
     """Recognizer of the preimage language: pull letters back along the map."""
     if lmap.target != rec.morphism.alphabet:
         raise AlphabetMismatch("letter map target does not match recognizer")
-    h, (p,) = pullback(lmap.source, [(weak_to_strong(rec), lmap.mapping)])
+    h, (p,) = pullback(lmap.source, [(_operand(rec, audit), lmap.mapping)])
     return minimize(Recognizer(h, p, "strong"), audit=audit)

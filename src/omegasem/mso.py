@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError
-from .langops import LetterMap, intersect, project, pullback
+from .langops import LetterMap, flip, intersect, project, pullback
 from .morphism import PairSet, Recognizer, UPWord, linked_pairs
 from .syntactic import bfs_numbered, minimize
 
@@ -639,9 +639,7 @@ class Compiler:
         if isinstance(phi, In):
             return _atom(In, len(fv), fv.index(phi.x), fv.index(phi.X))
         if isinstance(phi, Not):
-            sub = self._go(phi.body)[0]
-            lp = linked_pairs(sub.morphism.semigroup)
-            return Recognizer(sub.morphism, lp - sub.accepting, "strong")
+            return flip(self._go(phi.body)[0])
         if isinstance(phi, (And, Or)):
             # both operands pulled straight onto 2^fv: one closure
             h, (p, q) = pullback(var_alphabet(fv), [

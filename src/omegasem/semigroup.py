@@ -63,16 +63,12 @@ _LIGHT_BLOCK = 1 << 20  # entries per temporary of Light's test
 class PairSet(frozenset):
     """An immutable set of element pairs (s, e), as Python ints.
 
-    ``|``, ``&`` and ``-`` return pair sets.  ``empty(n)`` and
-    ``from_pairs(n, pairs)`` take the semigroup size n, which the set does
-    not need, so that callers may state it.
+    ``|``, ``&`` and ``-`` return pair sets, and ``PairSet()`` is the empty
+    set.  ``from_pairs(n, pairs)`` takes the semigroup size n, which the
+    set does not need, so that callers may state it.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def empty(cls, n):
-        return cls()
 
     @classmethod
     def from_pairs(cls, n, pairs):

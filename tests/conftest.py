@@ -16,7 +16,6 @@ import pytest
 
 from omegasem import (Morphism, PairSet, Recognizer, Semigroup,
                       close_generators, linked_pairs)
-from omegasem.semigroup import _MEMORY_LIMIT
 
 
 def random_transformation_morphism(rng, *, degree=None, n_letters=None,
@@ -59,31 +58,28 @@ def random_recognizer(rng, *, max_size=20, alphabet=None, density=0.4):
     return Recognizer(h, random_pair_set(rng, h.semigroup, density), "weak")
 
 
-# the message of a closure stopped where its table would outgrow the memory
-OVERSIZED_CLOSURE = ("closure exceeded %d elements, the most whose table fits"
-                     % math.isqrt(_MEMORY_LIMIT // 4))
+def oversized_closure(limit):
+    """The message of a closure stopped where its table would outgrow a
+    memory limit of ``limit`` bytes."""
+    return ("closure exceeded %d elements, the most whose table fits"
+            % math.isqrt(limit // 4))
 
 
 def oversized_pair():
-    """Two 12-element weak recognizers whose strong forms close a
-    169 742-element product, whose dense table would take 107 GiB.
+    """Two 12-element weak recognizers whose Büchi strong forms, of 489 and
+    3 740 elements, close a 169 742-element product, whose dense table
+    would take 107 GiB.
 
-    Union and intersection pull both strong forms back and need that
-    product.  Equivalence pulls back the sets as given, onto a 72-element
-    product.  Inclusion upgrades only its right side: ``right <= left``
-    closes 2 709 elements and ``left <= right`` 8 760."""
+    Their syntactic forms have 17 and 8 elements, and union and
+    intersection, which minimise weak operands, pull those back onto an
+    89-element product.  Equivalence pulls back the sets as given, onto a
+    72-element product.  Inclusion upgrades only its right side, to the
+    Büchi strong form: ``right <= left`` closes 2 709 elements and
+    ``left <= right`` 8 760."""
     rng = random.Random(1234)
     recs = [random_recognizer(rng, max_size=12, alphabet=("a", "b"))
             for _ in range(6)]
     return recs[4], recs[5]
-
-
-def oversized_union_pair():
-    """``oversized_pair``, whose union stops with ``OVERSIZED_CLOSURE``
-    before the table is built."""
-    if 4 * 169_742 ** 2 <= _MEMORY_LIMIT:
-        pytest.skip("this process may allocate the 107 GiB table")
-    return oversized_pair()
 
 
 def product_sizes(monkeypatch):

@@ -7,16 +7,15 @@ import sys
 import pytest
 
 import omegasem
-from omegasem import (PairSet, Recognizer, member, mso, semigroup,
+from omegasem import (PairSet, Recognizer, member, minimize, mso, semigroup,
                       universal_recognizer)
 from omegasem.cli import cli_dispatch
-from omegasem.formats import save_lettermap, save_recognizer
+from omegasem.formats import load_recognizer, save_lettermap, save_recognizer
 from omegasem.langops import LetterMap
 from omegasem.morphism import UPWord
 
-from conftest import (OVERSIZED_CLOSURE, oversized_pair,
-                      oversized_union_pair, product_sizes, random_recognizer,
-                      section5_morphism)
+from conftest import (oversized_closure, oversized_pair, product_sizes,
+                      random_recognizer, random_upword, section5_morphism)
 
 
 @pytest.fixture
@@ -35,7 +34,7 @@ def band_files(tmp_path):
     full = tmp_path / "full.txt"
     save_recognizer(universal_recognizer(h), str(full))
     empty = tmp_path / "empty.txt"
-    save_recognizer(Recognizer(h, PairSet.empty(4), "strong"), str(empty))
+    save_recognizer(Recognizer(h, PairSet(), "strong"), str(empty))
     return str(full), str(empty)
 
 
@@ -119,10 +118,34 @@ def save_pair(tmp_path, pair):
     return paths
 
 
-def test_union_refuses_an_oversized_product_table(run, tmp_path):
-    paths = save_pair(tmp_path, oversized_union_pair())
+def test_union_refuses_an_oversized_product_table(run, tmp_path,
+                                                  monkeypatch):
+    # the limit holds the 17- and 8-element syntactic forms of the pair but
+    # not their 89-element product
+    paths = save_pair(tmp_path, [minimize(rec) for rec in oversized_pair()])
+    limit = 4 * 88 ** 2
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", limit)
     code, out, err = run("union", *paths)
-    assert code == 3 and out == "" and OVERSIZED_CLOSURE in err
+    assert code == 3 and out == "" and oversized_closure(limit) in err
+
+
+def test_union_and_intersect_answer_on_the_oversized_pair(run, tmp_path,
+                                                          monkeypatch):
+    sizes = product_sizes(monkeypatch)
+    left, right = oversized_pair()
+    paths = save_pair(tmp_path, (left, right))
+    rng = random.Random(29)
+    words = [random_upword(rng, ("a", "b"), max_prefix=3, max_period=3)
+             for _ in range(50)]
+    for command, combine in (("union", any), ("intersect", all)):
+        output = str(tmp_path / (command + ".txt"))
+        code, out, err = run(command, *paths, "-o", output)
+        assert code == 0 and out == "" and err == ""
+        rec = load_recognizer(output)
+        for w in words:
+            assert member(rec, w) == combine(
+                (member(left, w), member(right, w))), str(w)
+    assert len(sizes) == 2 and max(sizes) < 200
 
 
 def test_equiv_answers_on_the_oversized_pair(run, tmp_path, monkeypatch):

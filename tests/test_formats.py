@@ -115,7 +115,7 @@ def parse_error_line(text):
 def test_recognizer_errors_carry_line_numbers():
     from omegasem.morphism import PairSet
     h = section5_morphism()
-    good = dumps_recognizer(Recognizer(h, PairSet.empty(4), "weak"))
+    good = dumps_recognizer(Recognizer(h, PairSet(), "weak"))
     lines = good.splitlines()
 
     line, msg = parse_error_line("semigroup v1\n")
@@ -158,7 +158,7 @@ def test_recognizer_semantic_errors():
     # a non-associative full table must be rejected on load
     from omegasem.morphism import PairSet
     h = section5_morphism()
-    text = dumps_recognizer(Recognizer(h, PairSet.empty(4), "weak"))
+    text = dumps_recognizer(Recognizer(h, PairSet(), "weak"))
     broken = text.replace("table: full\n0 1 0 1", "table: full\n0 1 0 2")
     assert broken != text
     with pytest.raises(ParseError, match=r"\*"):
@@ -250,7 +250,7 @@ def test_load_accepts_exactly_the_associative_tables(rng):
         table = Semigroup.from_right_cayley(rows, gens, tree).table \
             if generated else rows
         lines = dumps_recognizer(Recognizer(rec.morphism,
-                                            PairSet.empty(sg.size)),
+                                            PairSet()),
                                  generated=generated).split("\n")
         first = [i for i, line in enumerate(lines)
                  if line.startswith("table:")][0] + 1
@@ -299,7 +299,7 @@ def same_buchi(a: BuchiAutomaton, b: BuchiAutomaton) -> bool:
 def test_buchi_roundtrip(rng):
     # the trimmed automaton of an empty language has no states
     empty = morphism_to_buchi(
-        Recognizer(section5_morphism(), PairSet.empty(4), "weak"))
+        Recognizer(section5_morphism(), PairSet(), "weak"))
     for aut in [empty] + [random_buchi(rng) for _ in range(50)]:
         text = dumps_buchi(aut)
         back = loads_buchi(text)

@@ -240,23 +240,28 @@ def test_every_dataclass_field_is_read():
 TABLE_READERS = {("formats.py", "dumps_recognizer")}
 
 
-def table_reads(source):
-    """``(line, function)`` for each read of ``.table``, named by the
-    innermost enclosing function (or ``<module>``)."""
+def found_in(source, hit):
+    """``(line, function)`` for each node that ``hit`` accepts, named by
+    the innermost enclosing function (or ``<module>``)."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Attribute)
-                and node.attr == "table"
-                and isinstance(node.ctx, ast.Load)):
+        if hit(node):
             found.append((node.lineno, where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def table_reads(source):
+    """``(line, function)`` for each read of ``.table``."""
+    return found_in(source, lambda node: isinstance(node, ast.Attribute)
+                    and node.attr == "table"
+                    and isinstance(node.ctx, ast.Load))
 
 
 def test_table_read_detector():
@@ -279,3 +284,49 @@ def test_only_named_readers_touch_the_table():
             if (path.name, where) not in TABLE_READERS:
                 found.append("%s:%d: in %s" % (path.name, line, where))
     assert not found, "reads of the dense table:\n" + "\n".join(found)
+
+
+# the only callers of weak_to_strong: minimisation, and the right side of
+# an inclusion across two morphisms (ROADMAP item 2).  The language
+# operations minimise a weak operand instead.
+WEAK_TO_STRONG_CALLERS = {("syntactic.py", "minimize"),
+                          ("langops.py", "language_included")}
+
+
+def weak_to_strong_calls(source):
+    """``(line, function)`` for each call of ``weak_to_strong``, by name or
+    as an attribute."""
+    return found_in(source, lambda node: isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "weak_to_strong")
+
+
+def stray_weak_to_strong_calls(sources):
+    """``file:line: in function`` for each call of ``weak_to_strong`` in
+    ``{file name: source}`` outside ``WEAK_TO_STRONG_CALLERS``."""
+    return ["%s:%d: in %s" % (name, line, where)
+            for name, source in sorted(sources.items())
+            for line, where in weak_to_strong_calls(source)
+            if (name, where) not in WEAK_TO_STRONG_CALLERS]
+
+
+def test_weak_to_strong_call_detector():
+    sources = {
+        "syntactic.py": ("from .buchi import weak_to_strong\n"
+                         "def minimize(rec):\n"
+                         "    return weak_to_strong(rec)\n"),
+        "langops.py": ("from . import buchi\n"
+                       "def language_included(r1, r2):\n"
+                       "    return buchi.weak_to_strong(r2)\n"
+                       "def union(rs, upgrade=buchi.weak_to_strong):\n"
+                       "    return [buchi.weak_to_strong(r) for r in rs]\n"),
+    }
+    assert stray_weak_to_strong_calls(sources) == ["langops.py:5: in union"]
+
+
+def test_only_named_callers_upgrade_with_weak_to_strong():
+    found = stray_weak_to_strong_calls({
+        path.name: path.read_text(encoding="utf-8")
+        for path in SRC.glob("*.py")})
+    assert not found, "calls of weak_to_strong:\n" + "\n".join(found)

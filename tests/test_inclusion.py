@@ -108,7 +108,7 @@ def test_visited_set_grows_with_the_search():
     tracemalloc.start()
     try:
         assert inclusion_test(h, p, p).included
-        res = inclusion_test(h, p, PairSet.empty(n))
+        res = inclusion_test(h, p, PairSet())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,23 +7,42 @@ from omegasem import (AlphabetMismatch, ClosureCapExceeded, LetterMap,
                       close_under_conjugation, complement, intersect,
                       inverse_project, is_empty, langops,
                       language_equivalent, language_included, linked_pairs,
-                      member, project, union, universal_recognizer,
-                      weak_to_strong)
+                      member, minimize, project, semigroup, union,
+                      universal_recognizer, weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
-from conftest import (OVERSIZED_CLOSURE, oversized_pair,
-                      oversized_union_pair, product_sizes,
+from conftest import (oversized_closure, oversized_pair, product_sizes,
                       random_pair_set, random_recognizer,
                       random_transformation_morphism, random_upword,
                       section5_morphism)
 
 
-def test_oversized_product_table_is_refused():
-    # union and intersection pull back both strong forms
-    left, right = oversized_union_pair()
+def test_oversized_product_table_is_refused(monkeypatch):
+    # strong operands are pulled back as given, so under a limit that holds
+    # the 17- and 8-element syntactic forms but not their 89-element
+    # product, the product's closure is what stops
+    left, right = (minimize(rec) for rec in oversized_pair())
+    limit = 4 * 88 ** 2
+    monkeypatch.setattr(semigroup, "_MEMORY_LIMIT", limit)
     for operation in (union, intersect):
-        with pytest.raises(ClosureCapExceeded, match=OVERSIZED_CLOSURE):
+        with pytest.raises(ClosureCapExceeded,
+                           match=oversized_closure(limit)):
             operation(left, right)
+
+
+def test_oversized_pair_union_and_intersection_answer(monkeypatch):
+    # the Büchi strong forms' product would take 107 GiB; the weak operands
+    # are minimised and their syntactic forms pulled back
+    sizes = product_sizes(monkeypatch)
+    left, right = oversized_pair()
+    u, i = union(left, right), intersect(left, right)
+    assert len(sizes) == 2 and max(sizes) < 200
+    rng = random.Random(23)
+    for _ in range(100):
+        w = random_upword(rng, ("a", "b"), max_prefix=3, max_period=3)
+        m1, m2 = member(left, w), member(right, w)
+        assert member(u, w) == (m1 or m2), str(w)
+        assert member(i, w) == (m1 and m2), str(w)
 
 
 def test_oversized_pair_equivalence_decides_the_given_sets(monkeypatch):
@@ -258,6 +277,24 @@ def test_project_of_weak_input_is_unchanged_by_minimising(rng):
         rec = random_recognizer(rng, max_size=8, alphabet=lmap.source)
         assert (dumps_recognizer(project(rec, lmap))
                 == dumps_recognizer(project(weak_to_strong(rec), lmap)))
+
+
+def test_minimised_operands_change_no_output(rng):
+    # minimised output is canonical: operating on the syntactic forms of
+    # weak operands gives the bytes of operating on their Büchi strong
+    # forms, and flipping a syntactic form those of minimising a flip
+    inv = LetterMap(("a", "b", "c"), ("a", "b"),
+                    {"a": "a", "b": "b", "c": "a"})
+    for _ in range(30):
+        r1, r2 = (random_recognizer(rng, max_size=8, alphabet=inv.target)
+                  for _ in range(2))
+        s1, s2 = weak_to_strong(r1), weak_to_strong(r2)
+        for got, want in (
+                (complement(r1), minimize(langops.flip(s1))),
+                (union(r1, r2), union(s1, s2)),
+                (intersect(r1, r2), intersect(s1, s2)),
+                (inverse_project(r1, inv), inverse_project(s1, inv))):
+            assert dumps_recognizer(got) == dumps_recognizer(want)
 
 
 def test_language_included_cross_morphism():

@@ -176,7 +176,7 @@ def test_member_invariant_under_unrolling(rng):
 
 def test_universal_and_empty():
     h = section5_morphism()
-    assert is_empty(Recognizer(h, PairSet.empty(4), "weak"))
+    assert is_empty(Recognizer(h, PairSet(), "weak"))
     top = universal_recognizer(h)
     assert not is_empty(top)
     assert member(top, UPWord((), ("a",)))

@@ -155,7 +155,7 @@ def test_minimize_universal_and_empty():
     top = minimize(universal_recognizer(h))
     assert top.morphism.semigroup.size == 1
     assert len(top.accepting) == 1
-    bottom = minimize(Recognizer(h, PairSet.empty(4), "weak"))
+    bottom = minimize(Recognizer(h, PairSet(), "weak"))
     assert bottom.morphism.semigroup.size == 1
     assert len(bottom.accepting) == 0
 
