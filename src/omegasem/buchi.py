@@ -21,7 +21,7 @@ from .conjugacy import close_under_conjugation
 from .errors import AlphabetMismatch
 from .inclusion import inclusion_test
 from .morphism import Morphism, PairSet, Recognizer, UPWord, linked_pairs
-from .semigroup import check_table_budget, close_generators
+from .semigroup import check_ids, check_table_budget, close_generators
 
 
 @dataclass
@@ -37,6 +37,9 @@ class BuchiAutomaton:
     @classmethod
     def from_triples(cls, n_states, alphabet, transitions, initial, final):
         alphabet = tuple(alphabet)
+        transitions, initial, final = map(list, (transitions, initial, final))
+        check_ids([q for p, _, r in transitions for q in (p, r)]
+                  + initial + final, n_states, "states")
         edges = {a: np.zeros((n_states, n_states), dtype=bool)
                  for a in alphabet}
         for (p, a, q) in transitions:

@@ -5,6 +5,9 @@ with s x = t, x y = e and y x = f.  Conjugacy is the finest left-stable
 equivalence on linked pairs that is coarser than the relation
 (s, e) ~ (t, f) iff e L s R t L f, which lets it be computed with a
 union-find and a worklist of merged classes instead of by the definition.
+The classes of that relation, the approximation classes, seed the
+union-find: one merged class per R-class of the pairs (s, e) with e L s,
+every other pair alone.
 """
 
 from __future__ import annotations
@@ -57,42 +60,28 @@ class ConjugacyResult:
     union_calls: int
 
 
-def approx_classes(morphism: Morphism, pairs):
-    """Classes of the relation (s,e) ~ (t,f) iff e L s R t L f, or equality.
-
-    Pairs with e in the same L-class as s are grouped by the R-class of s;
-    every other pair is a singleton.
-    """
-    sg = morphism.semigroup
-    rcls, _ = sg.green_classes("R")
-    lcls, _ = sg.green_classes("L")
-    groups = {}
-    out = []
-    for (s, e) in pairs:
-        if lcls[e] == lcls[s]:
-            key = int(rcls[s])
-            if key in groups:
-                out[groups[key]].append((s, e))
-            else:
-                groups[key] = len(out)
-                out.append([(s, e)])
-        else:
-            out.append([(s, e)])
-    return out
-
-
 def conjugacy_classes(morphism: Morphism) -> ConjugacyResult:
     """Partition the linked pairs of a morphism into conjugacy classes.
 
-    Worklist algorithm: start from the nontrivial approximation classes,
-    merge them, and propagate every merged class through left multiplication
-    by the letter images until stable.
+    Worklist algorithm.  The approximation classes seed the union-find:
+    the pairs (s, e) with e L s, grouped by the R-class of s in
+    first-occurrence order, are each merged into one class and put on the
+    worklist; every other pair starts alone.  Each merged class is then
+    propagated through left multiplication by the letter images, and the
+    classes its images meet are merged and put on the worklist in turn,
+    until it is empty.  Class ids are numbered by first occurrence.
     """
     sg = morphism.semigroup
     pairs = linked_pairs(sg).pairs()
     pair_index = {p: i for i, p in enumerate(pairs)}
     uf = UnionFind(len(pairs))
-    worklist = []
+    rcls = sg.green_classes("R")[0].tolist()
+    lcls = sg.green_classes("L")[0].tolist()
+    groups = {}
+    for i, (s, e) in enumerate(pairs):
+        if lcls[e] == lcls[s]:
+            groups.setdefault(rcls[s], []).append(i)
+    worklist = [ids for ids in groups.values() if len(ids) > 1]
 
     def union_plus(ids):
         root = ids[0]
@@ -100,11 +89,8 @@ def conjugacy_classes(morphism: Morphism) -> ConjugacyResult:
             root = uf.union(root, j)
         return root
 
-    for cls in approx_classes(morphism, pairs):
-        if len(cls) > 1:
-            # approximation classes are disjoint, so these are all roots
-            union_plus([pair_index[p] for p in cls])
-            worklist.append([pair_index[p] for p in cls])
+    for ids in worklist:
+        union_plus(ids)  # the groups are disjoint, so these are all roots
     # left[j][s] = x_j s for the letter images x_j, gathered only when
     # there is a class to propagate
     left = sg.left_rows(sorted(set(morphism.images))).tolist() \
@@ -125,15 +111,11 @@ def conjugacy_classes(morphism: Morphism) -> ConjugacyResult:
     union_calls = uf.union_calls
 
     # canonical class ids by first (row-major) occurrence
-    class_of = {}
-    classes = []
-    root_to_id = {}
+    class_of, classes, root_cid = {}, [], {}
     for i, p in enumerate(pairs):
-        r = uf.find(i)
-        if r not in root_to_id:
-            root_to_id[r] = len(classes)
+        cid = root_cid.setdefault(uf.find(i), len(root_cid))
+        if cid == len(classes):
             classes.append([])
-        cid = root_to_id[r]
         class_of[p] = cid
         classes[cid].append(p)
     return ConjugacyResult(pairs, class_of, classes, find_calls, union_calls)

@@ -77,6 +77,16 @@ class _Lines:
             self.fail("expected '%s:', got '%s:'" % (key, got))
         return rest
 
+    def arrow(self, key: str, left: str, what: str) -> str:
+        """The right side, stripped, of the next ``key: left -> <what>``
+        line."""
+        rest = self.expect(key)
+        parts = rest.split("->")
+        if len(parts) != 2 or parts[0].strip() != left:
+            self.fail("expected '%s: %s -> <%s>', got %r"
+                      % (key, left, what, rest))
+        return parts[1].strip()
+
     def ints(self, what: str, count: Optional[int] = None) -> List[int]:
         fields = self.next(what).split()
         try:
@@ -186,12 +196,8 @@ def loads_recognizer(text: str) -> Recognizer:
         lines.fail(str(exc))
     images = []
     for a in alphabet:
-        rest = lines.expect("image")
-        parts = rest.split("->")
-        if len(parts) != 2 or parts[0].strip() != a:
-            lines.fail("expected 'image: %s -> <id>', got %r" % (a, rest))
         try:
-            s = int(parts[1])
+            s = int(lines.arrow("image", a, "id"))
         except ValueError:
             lines.fail("image id must be an integer")
         if not 0 <= s < n:
@@ -323,11 +329,7 @@ def loads_lettermap(text: str) -> LetterMap:
     _check_letters(target, lines.fail)
     mapping = {}
     for a in source:
-        rest = lines.expect("map")
-        parts = rest.split("->")
-        if len(parts) != 2 or parts[0].strip() != a:
-            lines.fail("expected 'map: %s -> <letter>', got %r" % (a, rest))
-        b = parts[1].strip()
+        b = lines.arrow("map", a, "letter")
         if b not in target:
             lines.fail("target letter %r not in target alphabet" % b)
         mapping[a] = b

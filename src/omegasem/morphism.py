@@ -10,12 +10,13 @@ is re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptyPeriod, NotLinkedPair, UnknownLetter
-from .semigroup import PairSet, Semigroup
+from .semigroup import PairSet, Semigroup, check_ids
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class Morphism:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters in alphabet")
         self.semigroup = semigroup
-        self.images = tuple(int(x) for x in images)
+        self.images = check_ids(images, semigroup.size, "letter images")
         if len(self.images) != len(self.alphabet):
             raise ValueError("one image per letter required")
         if not set(semigroup.generators) <= set(self.images):
@@ -152,10 +153,7 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     if not prefix:
         # rotate one period into the prefix so that h(u) is defined
         prefix = period
-    pe = [h.image(a) for a in period]
-    hv = pe[0]
-    for x in pe[1:]:
-        hv = mul(hv, x)
+    hv = h.evaluate(period)
     f = int(h.semigroup.idempotent_powers[hv])
     hu = h.evaluate(prefix)
     if rec.mode == "strong":
@@ -165,28 +163,14 @@ def member(rec: Recognizer, word: UPWord) -> bool:
     m, power = 1, hv
     while power != f:
         m, power = m + 1, mul(power, hv)
-    vp = period * m
-    n = len(vp)
-    imgs = [h.image(a) for a in vp]
-    # pref[i] = h(vp[:i]) for i >= 1; suf[i] = h(vp[i:]) for i < n
-    pref = [0] * (n + 1)
-    acc = None
-    for i, x in enumerate(imgs):
-        acc = x if acc is None else mul(acc, x)
-        pref[i + 1] = acc
-    suf = [0] * (n + 1)
-    acc = None
-    for i in range(n - 1, -1, -1):
-        acc = imgs[i] if acc is None else mul(imgs[i], acc)
-        suf[i] = acc
+    imgs = [h.image(a) for a in period * m]
+    # pref: h(v'[:1]), h(v'[:2]), ...; suf: ..., h(v'[2:]), h(v'[1:])
+    pref = accumulate(imgs, mul)
+    suf = list(accumulate(reversed(imgs[1:]), lambda acc, x: mul(x, acc)))
     hup = mul(hu, f)  # h(u') = h(u v^m) = h(u) f
-    for i in range(1, n + 1):  # v1 = vp[:i] nonempty
-        s = mul(hup, pref[i])
-        # e = h(v2) h(v') h(v1) with v2 = vp[i:] and h(v') = f
-        if i == n:
-            e = mul(f, pref[i])
-        else:
-            e = mul(mul(suf[i], f), pref[i])
-        if (s, e) in rec.accepting:
+    for v1, v2 in zip(pref, suf[::-1] + [None]):
+        # e = h(v2) h(v') h(v1) with h(v') = f; v2 is empty at the end
+        e = mul(f if v2 is None else mul(v2, f), v1)
+        if (mul(hup, v1), e) in rec.accepting:
             return True
     return False

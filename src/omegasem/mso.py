@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError
-from .langops import LetterMap, flip, intersect, project, pullback
+from .langops import LetterMap, flip, project, pullback
 from .morphism import PairSet, Recognizer, UPWord, linked_pairs
 from .syntactic import bfs_numbered, minimize
 
@@ -592,9 +592,11 @@ class Compiler:
     ``_alpha_key`` are equal up to a renaming, and share one build: where
     the renaming moves the variables' places in the sorted order, the
     stored recognizer's letters are permuted and renumbered
-    (``_renamed``).  A first-order variable is only intersected with the
+    (``_renamed``).  A first-order variable v is only intersected with the
     one-position constraint before its projection if the body does not
-    already guarantee it (``_guarded``).
+    already guarantee it (``_guarded``); the guarded body is the node
+    ``And(body, In(v, v))``, built through the compiler's own ``&`` and
+    shared up to renaming as every node is.
 
     The memo lives for one ``compile`` call: nothing keyed by a formula or
     a subformula outlives it.  The atoms (the one-position constraint
@@ -617,8 +619,8 @@ class Compiler:
 
     def _go(self, phi: Formula):
         """(recognizer, sorted free variables) of phi."""
-        fv = tuple(sorted(_free_vars(phi)))
         order = _canonical_order(phi)
+        fv = tuple(sorted(order))
         key = _alpha_key(phi, {v: ("free", i, is_second_order(v))
                                for i, v in enumerate(order)})
         ranks = tuple(fv.index(v) for v in order)
@@ -648,14 +650,12 @@ class Compiler:
             pairs = p & q if isinstance(phi, And) else p | q
             return self._mini(Recognizer(h, pairs, "strong"))
         if isinstance(phi, Exists):
+            v = phi.var
             sub, sfv = self._go(phi.body)
-            if phi.var not in sfv:
+            if v not in sfv:
                 return sub
-            if not is_second_order(phi.var) \
-                    and phi.var not in _guarded(phi.body):
-                r = sfv.index(phi.var)
-                sub = intersect(sub, _atom(In, len(sfv), r, r),
-                                audit=self.audit)
+            if not is_second_order(v) and v not in _guarded(phi.body):
+                sub = self._go(And(phi.body, In(v, v)))[0]
             return project(sub, _erasing_map(sfv, fv), audit=self.audit)
         raise TypeError("not a formula: %r" % (phi,))
 
@@ -700,12 +700,6 @@ def chi_formula(k: int) -> Formula:
 
 
 FAMILIES = {"phi": phi_formula, "psi": psi_formula, "chi": chi_formula}
-
-
-def table_row(k: int, *, audit=False):
-    """The (|S|, |F|, |P|) triples for phi_k, psi_k, chi_k."""
-    return {name: recognizer_stats(compile_formula(fam(k), audit=audit))
-            for name, fam in FAMILIES.items()}
 
 
 # ---------------------------------------------------------------------------

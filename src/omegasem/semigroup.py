@@ -18,7 +18,8 @@ never multiply.  Only the full form of ``formats.dumps_recognizer``
 touches the table itself.
 
 Checks sit where a table comes from outside: ``Semigroup(table,
-generators)`` checks its range, that the generators generate it
+generators)`` checks that entries and generators are integers in range
+before it narrows them to int32, that the generators generate it
 (``cayley_bfs``), and associativity by Light's test; the recognizer loader
 does the same for ``table: generated`` rows.  One budget bounds every
 table: ``check_table_budget`` refuses an n x n int32 table larger than the
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import resource
 from functools import cached_property
@@ -58,6 +60,18 @@ def _memory_limit():
 # Read once, so that checking a table against it costs one comparison.
 _MEMORY_LIMIT = _memory_limit()
 _LIGHT_BLOCK = 1 << 20  # entries per temporary of Light's test
+
+
+def check_ids(values, n, what):
+    """``values`` as a tuple of ints, each checked before it is narrowed:
+    ``ValueError`` unless it is an integer in range(n)."""
+    try:
+        ids = tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError("%s must be integers" % what) from None
+    if ids and not 0 <= min(ids) <= max(ids) < n:
+        raise ValueError("%s out of range" % what)
+    return ids
 
 
 class PairSet(frozenset):
@@ -110,13 +124,17 @@ class Semigroup:
     """
 
     def __init__(self, table, generators):
-        table = np.array(table, dtype=np.int32)  # a copy: it is frozen below
+        table = np.asarray(table)
         n = table.shape[0]
         if table.shape != (n, n):
             raise ValueError("table must be square")
-        if n and (table.min() < 0 or table.max() >= n):
-            raise ValueError("table entries out of range")
-        generators = [int(g) for g in generators]
+        # checked before the int32 copy, which would wrap or truncate
+        if n and (table.dtype.kind not in "iu" or table.min() < 0
+                  or table.max() >= n):
+            raise ValueError("table entries must be integers in range(%d)"
+                             % n)
+        table = table.astype(np.int32)  # a copy: it is frozen below
+        generators = list(check_ids(generators, n, "generators"))
         rc = table[:, generators]
         order, parent, parent_gen = cayley_bfs(rc, generators)
         if len(order) != n:

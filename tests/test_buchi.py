@@ -44,6 +44,16 @@ def test_lasso_oracle_on_known_automaton():
     assert not buchi_accepts_lasso(aut, UPWord((), ("a",)))
 
 
+@pytest.mark.parametrize("triples, initial, final", [
+    ([(0, "a", -1)], [0], [1]),  # -1 would wrap to the last state
+    ([(0, "a", 1)], [2], [1]),
+    ([(0, "a", 1)], [0], [-1]),
+], ids=["transition", "initial", "final"])
+def test_from_triples_rejects_states_out_of_range(triples, initial, final):
+    with pytest.raises(ValueError):
+        BuchiAutomaton.from_triples(2, ("a",), triples, initial, final)
+
+
 def test_buchi_to_strong_known_language():
     rec = buchi_to_strong(ab_infinitely_often_b())
     assert rec.mode == "strong"

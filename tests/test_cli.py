@@ -416,3 +416,19 @@ def test_table1_shape(run, monkeypatch):
         assert name == "phi" and int(kk) == k
         assert int(s) == 2 ** k  # the known sizes for this family
     assert "k=2" in err  # timings go to stderr, not stdout
+
+
+def test_table1_honours_audit(run, monkeypatch):
+    _, plain, _ = run("table1")
+    audits = []
+    compile_formula = mso.compile_formula
+
+    def spy(phi, *, audit=False):
+        audits.append(audit)
+        return compile_formula(phi, audit=audit)
+
+    monkeypatch.setattr(mso, "compile_formula", spy)
+    code, out, _ = run("--audit", "table1")
+    assert code == 0
+    assert out == plain
+    assert audits == [True] * 12  # phi, psi and chi for k = 2..5

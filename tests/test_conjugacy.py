@@ -1,8 +1,10 @@
+import json
+import pathlib
 import random
 
-from omegasem import (PairSet, Recognizer, UPWord, close_under_conjugation,
-                      conjugacy_classes, is_conjugation_closed, linked_pairs,
-                      member)
+from omegasem import (PairSet, Recognizer, UPWord, adversarial_fixture,
+                      close_under_conjugation, conjugacy_classes,
+                      is_conjugation_closed, linked_pairs, member)
 
 from conftest import (brute_force_conjugacy, random_transformation_morphism,
                       random_upword, section5_morphism)
@@ -36,6 +38,22 @@ def test_counter_bounds(rng):
         bound = len(got.pairs) - 1
         assert got.union_calls <= max(bound, 0)
         assert got.find_calls <= 2 * len(h.alphabet) * max(bound, 0)
+
+
+PINS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / \
+    "pins.json"
+
+
+def test_adversarial_counters_match_the_benchmark_pins():
+    # the fingerprint the minimize-adversarial workload pins for its
+    # conjugacy op at n = 3: class count, exact counters, closed pairs
+    want = json.loads(PINS.read_text())["minimize-adversarial"]["3"][0]
+    h, designated = adversarial_fixture(3)
+    got = conjugacy_classes(h)
+    hit = {got.class_of[p] for p in designated}
+    assert {"classes": len(got.classes), "unions": got.union_calls,
+            "finds": got.find_calls,
+            "closed_pairs": sum(len(got.classes[c]) for c in hit)} == want
 
 
 def test_class_ids_canonical(rng):

@@ -330,3 +330,46 @@ def test_only_named_callers_upgrade_with_weak_to_strong():
         path.name: path.read_text(encoding="utf-8")
         for path in SRC.glob("*.py")})
     assert not found, "calls of weak_to_strong:\n" + "\n".join(found)
+
+
+def traced_layers(spans_source):
+    """``{module: [function, ...]}``: the ``LAYERS`` literal of a
+    ``perfbench/spans.py`` source, read without importing it."""
+    for node in ast.parse(spans_source).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no LAYERS assignment")
+
+
+def missing_layers(spans_source, sources):
+    """``module.function`` for each traced layer that ``{module name:
+    source}`` does not define at the top level of its module."""
+    return ["%s.%s" % (module, fn)
+            for module, fns in traced_layers(spans_source).items()
+            for fn in fns
+            if fn not in {node.name for node in ast.parse(
+                sources.get(module, "")).body
+                if isinstance(node, (ast.FunctionDef,
+                                     ast.AsyncFunctionDef))}]
+
+
+def test_missing_layer_detector():
+    spans = ('LAYERS = {"semigroup": ["close_generators"],\n'
+             '          "langops": ["union", "project"],\n'
+             '          "gone": ["f"]}\n')
+    sources = {"semigroup": "def close_generators():\n    pass\n",
+               "langops": ("from .x import project\n"
+                           "def union():\n"
+                           "    def project():\n"
+                           "        pass\n")}
+    assert missing_layers(spans, sources) == ["langops.project", "gone.f"]
+
+
+def test_every_traced_layer_is_defined():
+    # the traced benchmark run wraps these by name (perfbench/spans.py)
+    found = missing_layers(
+        (ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"),
+        {path.stem: path.read_text(encoding="utf-8")
+         for path in SRC.glob("*.py")})
+    assert not found, "traced layers no module defines:\n" + "\n".join(found)

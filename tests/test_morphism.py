@@ -42,6 +42,13 @@ def test_morphism_rejects_images_missing_a_generator():
         Morphism(("a",), Semigroup([[0, 1], [1, 0]], [1]), [0])
 
 
+@pytest.mark.parametrize("image", [-1, 7])
+def test_morphism_rejects_images_out_of_range(image):
+    # -1 would be read as the last element, and 7 fail only when used
+    with pytest.raises(ValueError):
+        Morphism(("a", "b"), Semigroup([[0, 1], [1, 0]], [1]), [1, image])
+
+
 def same_tables(h1, h2):
     """Equal letters, images and full tables."""
     return (h1.alphabet == h2.alphabet and h1.images == h2.images

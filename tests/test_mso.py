@@ -7,6 +7,7 @@ import pytest
 from omegasem import (MsoSyntaxError, UPWord, compile_formula, evaluate,
                       member, parse)
 from omegasem import buchi, langops, mso, syntactic
+from omegasem.cli import table1_lines
 from omegasem.formats import dumps_recognizer
 from omegasem.langops import (complement, intersect, inverse_project,
                               language_included, project, union)
@@ -15,7 +16,7 @@ from omegasem.mso import (FAMILIES, And, Compiler, Exists, In, Less, Not, Or,
                           Succ, _erasing_map, _guarded, chi_formula,
                           free_vars, is_second_order, miniscope, phi_formula,
                           psi_formula, recognizer_stats, sample_models,
-                          table_row, var_alphabet)
+                          var_alphabet)
 
 from conftest import random_upword
 
@@ -496,16 +497,22 @@ def test_psi_language_semantics():
     assert not member(rec, bitword("", "10 00"))
 
 
-def test_table_row_shape():
-    row = table_row(2)
-    assert set(row) == {"phi", "psi", "chi"}
-    assert all(len(v) == 3 for v in row.values())
+def quiet(_msg):
+    pass
 
 
-def test_table_row_audit_finds_every_set_closed():
+def test_table1_lines_shape():
+    lines = table1_lines(False, clock=quiet)
+    assert lines[0] == "formula k |S| |F| |P|"
+    assert [line.split()[:2] for line in lines[1:]] == [
+        [name, str(k)] for k in range(2, 6) for name in ("phi", "psi", "chi")]
+    assert all(len(line.split()) == 5 for line in lines)
+
+
+def test_table1_lines_audit_finds_every_set_closed():
     # the audit raises NotClosed wherever minimization meets a non-closed P
-    for k in (2, 3):
-        assert table_row(k, audit=True) == table_row(k)
+    assert table1_lines(False, clock=quiet, audit=True) == \
+        table1_lines(False, clock=quiet)
 
 
 def test_sample_models_are_members():

@@ -53,6 +53,22 @@ def test_rejects_unreachable_elements():
         Semigroup(table, [0])
 
 
+Z2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("table, generators", [
+    (np.array([[2 ** 32]], dtype=np.int64), [0]),  # int32 would wrap it to 0
+    ([[0.7]], [0]),                                # int32 would truncate it
+    (Z2, [-1]),                                    # a wrapped index: 1
+    (Z2, [1.9]),                                   # a truncated one: 1
+    (Z2, [5]),                                     # past the table
+], ids=["entry-2**32", "entry-0.7", "generator--1", "generator-1.9",
+        "generator-5"])
+def test_ids_are_checked_before_narrowing(table, generators):
+    with pytest.raises(ValueError):
+        Semigroup(table, generators)
+
+
 def test_close_generators_matches_direct_table():
     def compose(f, g):
         return tuple(g[x] for x in f)
