@@ -155,8 +155,9 @@ def dumps_recognizer(rec: Recognizer, *, generated: bool = False) -> str:
     for a, s in zip(h.alphabet, h.images):
         out.append("image: %s -> %d" % (a, s))
     if generated:
+        # the columns the loader reads: one per distinct image, in order
         out.append("table: generated")
-        rows = sg.right_cayley
+        rows = sg.right_rows(list(dict.fromkeys(h.images)))
     else:
         out.append("table: full")
         rows = sg.table

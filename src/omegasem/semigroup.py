@@ -27,11 +27,14 @@ memory this process may use (the physical memory, or a lower
 ``RLIMIT_AS``); the full table is checked before it is allocated, and
 ``close_generators`` stops before an element whose table it would refuse.
 
-Derived data is computed from the table with array operations the first
-time it is asked for and cached on the semigroup: the idempotents, their
-columns, idempotent powers and Green's R- and L-classes as read-only
-arrays, and the linked pairs as a ``PairSet``, an immutable set of (s, e)
-pairs.
+Derived data is computed the first time it is asked for and cached on the
+semigroup: the idempotents, their columns and idempotent powers as
+read-only arrays, the linked pairs as a ``PairSet``, an immutable set of
+(s, e) pairs, and their conjugacy classes as a frozen ``ConjugacyResult``.
+Conjugacy is a relation on the semigroup alone, so the partition is
+computed once per semigroup, whatever letters map onto it.  It reads
+Green's R- and L-classes once each; ``green_classes`` keeps no copy, and
+builds its ideal bitmap packed, ``_LIGHT_BLOCK`` entries at a time.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ import math
 import operator
 import os
 import resource
-from functools import cached_property
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from types import MappingProxyType
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +64,7 @@ def _memory_limit():
 
 # Read once, so that checking a table against it costs one comparison.
 _MEMORY_LIMIT = _memory_limit()
-_LIGHT_BLOCK = 1 << 20  # entries per temporary of Light's test
+_LIGHT_BLOCK = 1 << 20  # entries per temporary: Light's test, Green's bitmaps
 
 
 def check_ids(values, n, what):
@@ -119,7 +124,7 @@ class Semigroup:
     (-1 for generators), which give shortest representative words.
 
     The constructor checks an outside table: entries in range, every element
-    generated, and associativity.  Semigroups built by the library come from
+    generated, and associativity.  It drops repeated generators.  Semigroups built by the library come from
     ``close_generators`` through ``from_right_cayley``, which trusts its rows.
     """
 
@@ -134,7 +139,7 @@ class Semigroup:
             raise ValueError("table entries must be integers in range(%d)"
                              % n)
         table = table.astype(np.int32)  # a copy: it is frozen below
-        generators = list(check_ids(generators, n, "generators"))
+        generators = list(dict.fromkeys(check_ids(generators, n, "generators")))
         rc = table[:, generators]
         order, parent, parent_gen = cayley_bfs(rc, generators)
         if len(order) != n:
@@ -148,7 +153,6 @@ class Semigroup:
         self.generators = tuple(int(g) for g in generators)
         self.parent = _frozen(np.asarray(parent, dtype=np.int32))
         self.parent_gen = _frozen(np.asarray(parent_gen, dtype=np.int32))
-        self._green = {}
 
     @classmethod
     def from_right_cayley(cls, rc, generators, tree):
@@ -256,7 +260,62 @@ class Semigroup:
             todo = todo[~idem[e[todo]]]
         return _frozen(e)
 
-    # -- Green's relations ----------------------------------------------------
+    # -- conjugacy and Green's relations --------------------------------------
+
+    @cached_property
+    def conjugacy(self):
+        """The conjugacy classes of the linked pairs, as a read-only
+        ``ConjugacyResult``.
+
+        Worklist algorithm.  The approximation classes seed the union-find:
+        the pairs (s, e) with e L s, grouped by the R-class of s in
+        first-occurrence order, are each merged into one class and put on
+        the worklist; every other pair starts alone.  Each merged class is
+        then propagated through left multiplication by the generators, and
+        the classes its images meet are merged and put on the worklist in
+        turn, until it is empty.  Class ids are numbered by first
+        occurrence.
+        """
+        pairs = self.linked.pairs()
+        pair_index = {p: i for i, p in enumerate(pairs)}
+        uf = UnionFind(len(pairs))
+        rcls = self.green_classes("R")[0].tolist()
+        lcls = self.green_classes("L")[0].tolist()
+        groups = {}
+        for i, (s, e) in enumerate(pairs):
+            if lcls[e] == lcls[s]:
+                groups.setdefault(rcls[s], []).append(i)
+        worklist = [ids for ids in groups.values() if len(ids) > 1]
+        for ids in worklist:
+            reduce(uf.union, ids)  # the groups are disjoint: all roots
+        # left[j][s] = g_j s for the generators g_j, gathered only when
+        # there is a class to propagate
+        left = self.left_rows(sorted(self.generators)).tolist() \
+            if worklist else []
+        while worklist:
+            group = worklist.pop()
+            for row in left:
+                roots = sorted({uf.find(pair_index[(row[pairs[i][0]],
+                                                    pairs[i][1])])
+                                for i in group})
+                if len(roots) > 1:
+                    reduce(uf.union, roots)
+                    worklist.append(roots)
+        # the counters freeze here: the canonical read-out below is
+        # presentation, not part of the merging algorithm whose bounds are
+        # under test
+        counts = uf.find_calls, uf.union_calls
+
+        # canonical class ids by first (row-major) occurrence
+        root_cid = {}
+        cids = [root_cid.setdefault(uf.find(i), len(root_cid))
+                for i in range(len(pairs))]
+        classes = [[] for _ in root_cid]
+        for p, cid in zip(pairs, cids):
+            classes[cid].append(p)
+        return ConjugacyResult(
+            tuple(pairs), MappingProxyType(dict(zip(pairs, cids))),
+            tuple(map(tuple, classes)), *counts)
 
     def green_classes(self, kind):
         """Green's R- ('R') or L- ('L') classes, from the definition.
@@ -264,19 +323,67 @@ class Semigroup:
         s R t iff s S^1 = t S^1, and s L t iff S^1 s = S^1 t: elements are
         grouped by the bitmap of their principal right (left) ideal.  Returns
         ``(class_of, n_classes)`` where class ids are numbered by first
-        occurrence in element order.
+        occurrence in element order.  The bitmaps are built packed, in row
+        blocks of ``_LIGHT_BLOCK`` entries, so they take |S|^2 / 8 bytes.
         """
         if kind not in ("R", "L"):
             raise ValueError("kind must be 'R' or 'L'")
-        if kind not in self._green:
-            n = self.size
-            table = self.table if kind == "R" else self.table.T
-            ideal = np.zeros((n, n), dtype=bool)
-            ideal[np.arange(n)[:, None], table] = True
-            ideal[np.arange(n), np.arange(n)] = True
-            class_of, count = group_rows(np.packbits(ideal, axis=1))
-            self._green[kind] = (_frozen(class_of), count)
-        return self._green[kind]
+        n = self.size
+        table = self.table if kind == "R" else self.table.T
+        rows = max(1, _LIGHT_BLOCK // max(1, n))
+        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        for x0 in range(0, n, rows):
+            block = table[x0:x0 + rows]
+            ideal = np.zeros(block.shape, dtype=bool)
+            ideal[np.arange(len(block))[:, None], block] = True
+            np.fill_diagonal(ideal[:, x0:], True)  # s lies in s S^1
+            packed[x0:x0 + rows] = np.packbits(ideal, axis=1)
+        class_of, count = group_rows(packed)
+        return _frozen(class_of), count
+
+
+class UnionFind:
+    """Union-find with union by rank, path compression and call counters."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.find_calls = 0
+        self.union_calls = 0
+
+    def find(self, i):
+        self.find_calls += 1
+        root = i
+        p = self.parent
+        while p[root] != root:
+            root = p[root]
+        while p[i] != root:
+            p[i], i = root, p[i]
+        return root
+
+    def union(self, i, j):
+        """Merge the classes of two roots; returns the surviving root."""
+        self.union_calls += 1
+        if i == j:
+            return i
+        if self.rank[i] < self.rank[j]:
+            i, j = j, i
+        self.parent[j] = i
+        if self.rank[i] == self.rank[j]:
+            self.rank[i] += 1
+        return i
+
+
+@dataclass(frozen=True)
+class ConjugacyResult:
+    """The conjugacy partition of a semigroup's linked pairs.  It is cached
+    on the semigroup and shared, so it is read-only throughout."""
+
+    pairs: Tuple[Tuple[int, int], ...]     # linked pairs, row-major order
+    class_of: Mapping[Tuple[int, int], int]  # pair -> class id (canonical)
+    classes: Tuple[Tuple[Tuple[int, int], ...], ...]
+    find_calls: int
+    union_calls: int
 
 
 def _frozen(a):

@@ -2,12 +2,17 @@ import json
 import pathlib
 import random
 
-from omegasem import (PairSet, Recognizer, UPWord, adversarial_fixture,
-                      close_under_conjugation, conjugacy_classes,
-                      is_conjugation_closed, linked_pairs, member)
+import pytest
 
-from conftest import (brute_force_conjugacy, random_transformation_morphism,
-                      random_upword, section5_morphism)
+from omegasem import (Morphism, PairSet, Recognizer, Semigroup, UPWord,
+                      adversarial_fixture, close_under_conjugation,
+                      conjugacy_classes, is_conjugation_closed, is_strong,
+                      linked_pairs, member, semigroup, weak_to_strong)
+from omegasem.formats import dumps_recognizer, loads_recognizer
+
+from conftest import (brute_force_conjugacy, random_recognizer,
+                      random_transformation_morphism, random_upword,
+                      section5_morphism)
 
 
 def as_sorted_partition(classes):
@@ -102,3 +107,67 @@ def test_non_conjugate_pairs_have_disjoint_languages(rng):
             w = random_upword(rng, h.alphabet)
             hits = sum(member(r, w) for r in reps)
             assert hits <= 1
+
+
+def union_finds(monkeypatch):
+    """The union-finds that conjugacy partitions build from now on."""
+    built = []
+
+    class Counted(semigroup.UnionFind):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+    monkeypatch.setattr(semigroup, "UnionFind", Counted)
+    return built
+
+
+def fresh_copy(h):
+    """``h`` onto a new, equal semigroup, which has no cached data yet."""
+    sg = h.semigroup
+    return Morphism(h.alphabet, Semigroup(sg.table, sg.generators), h.images)
+
+
+def test_partition_is_computed_once_per_semigroup(monkeypatch):
+    rng = random.Random(7)
+    while True:  # an accepting set that closing changes
+        rec = random_recognizer(rng, max_size=24)
+        if not is_conjugation_closed(rec.morphism, rec.accepting):
+            break
+    h, p = fresh_copy(rec.morphism), rec.accepting
+    built = union_finds(monkeypatch)
+    conjugacy_classes(h)
+    closed = close_under_conjugation(h, p)
+    assert not is_conjugation_closed(h, p)
+    is_strong(h, p)
+    weak_to_strong(Recognizer(h, p, "weak"))
+    assert len(built) == 1
+    # a strong file: the loader's check and a later question share one
+    text = dumps_recognizer(Recognizer(h, closed, "strong"))
+    built.clear()
+    loaded = loads_recognizer(text)
+    assert is_strong(loaded.morphism, loaded.accepting).included
+    assert len(built) == 1
+
+
+def test_partition_depends_on_the_semigroup_only_and_is_read_only(rng):
+    while True:  # a semigroup with an element that is no generator
+        h = fresh_copy(random_transformation_morphism(rng, n_letters=2,
+                                                      max_size=32))
+        sg = h.semigroup
+        extra = [s for s in range(sg.size) if s not in sg.generators]
+        if extra:
+            break
+    # one more letter, mapped to a product of the generators
+    h2 = Morphism(h.alphabet + ("z",), sg, h.images + (extra[0],))
+    got = conjugacy_classes(h)
+    assert conjugacy_classes(h2) is got
+    assert [list(c) for c in got.classes] == brute_force_conjugacy(h2)
+    with pytest.raises(TypeError):
+        got.class_of[got.pairs[0]] = 1
+    with pytest.raises(TypeError):
+        got.classes[0] = ()
+    with pytest.raises(TypeError):
+        got.pairs[0] = (0, 0)
+    with pytest.raises(AttributeError):
+        got.classes = ()

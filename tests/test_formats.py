@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from omegasem import (BuchiAutomaton, PairSet, ParseError, Recognizer,
-                      buchi_to_strong, is_empty, load_recognizer,
-                      morphism_to_buchi, save_recognizer)
+from omegasem import (BuchiAutomaton, Morphism, PairSet, ParseError,
+                      Recognizer, buchi_to_strong, is_empty, linked_pairs,
+                      load_recognizer, morphism_to_buchi, save_recognizer)
 from omegasem import formats, semigroup
 from omegasem.cli import cli_dispatch
 from omegasem.formats import (dumps_buchi, dumps_lettermap, dumps_recognizer,
@@ -60,6 +60,24 @@ table: generated
 1
 accept:
 """
+
+
+@pytest.mark.parametrize("table, generators, images", [
+    # generators listed in another order than the letter images
+    ([[(i + j) % 3 for j in range(3)] for i in range(3)], [2, 1], [1, 2]),
+    # a repeated generator, and an image that is no generator
+    ([[0, 1], [1, 0]], [1, 1], [1, 0]),
+], ids=["reordered", "repeated"])
+def test_generated_dump_loads_back(table, generators, images):
+    # the dump writes one column per distinct image, in image order, as
+    # the loader reads them
+    h = Morphism(("a", "b"), Semigroup(table, generators), images)
+    rec = Recognizer(h, linked_pairs(h.semigroup), "weak")
+    text = dumps_recognizer(rec, generated=True)
+    back = loads_recognizer(text)
+    assert np.array_equal(back.morphism.semigroup.table, h.semigroup.table)
+    assert back.morphism.images == h.images
+    assert dumps_recognizer(back, generated=True) == text
 
 
 def test_generated_table_with_unreachable_element(tmp_path):

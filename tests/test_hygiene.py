@@ -293,22 +293,22 @@ WEAK_TO_STRONG_CALLERS = {("syntactic.py", "minimize"),
                           ("langops.py", "language_included")}
 
 
-def weak_to_strong_calls(source):
-    """``(line, function)`` for each call of ``weak_to_strong``, by name or
-    as an attribute."""
-    return found_in(source, lambda node: isinstance(node, ast.Call)
-                    and getattr(node.func, "id",
-                                getattr(node.func, "attr", None))
-                    == "weak_to_strong")
+def stray_calls(sources, names, allowed):
+    """``file:line: in function`` for each call of a function in ``names``,
+    by name or as an attribute, in ``{file name: source}`` outside the
+    ``allowed`` (file, function) pairs."""
+    return ["%s:%d: in %s" % (name, line, where)
+            for name, source in sorted(sources.items())
+            for line, where in found_in(
+                source, lambda node: isinstance(node, ast.Call)
+                and getattr(node.func, "id",
+                            getattr(node.func, "attr", None)) in names)
+            if (name, where) not in allowed]
 
 
 def stray_weak_to_strong_calls(sources):
-    """``file:line: in function`` for each call of ``weak_to_strong`` in
-    ``{file name: source}`` outside ``WEAK_TO_STRONG_CALLERS``."""
-    return ["%s:%d: in %s" % (name, line, where)
-            for name, source in sorted(sources.items())
-            for line, where in weak_to_strong_calls(source)
-            if (name, where) not in WEAK_TO_STRONG_CALLERS]
+    """Calls of ``weak_to_strong`` outside ``WEAK_TO_STRONG_CALLERS``."""
+    return stray_calls(sources, {"weak_to_strong"}, WEAK_TO_STRONG_CALLERS)
 
 
 def test_weak_to_strong_call_detector():
@@ -330,6 +330,45 @@ def test_only_named_callers_upgrade_with_weak_to_strong():
         path.name: path.read_text(encoding="utf-8")
         for path in SRC.glob("*.py")})
     assert not found, "calls of weak_to_strong:\n" + "\n".join(found)
+
+
+# the only place that reads Green's classes and builds a union-find: the
+# conjugacy partition, computed once per semigroup and cached there
+PARTITION_STEPS = {"green_classes", "UnionFind"}
+PARTITION_BUILDERS = {("semigroup.py", "conjugacy")}
+
+
+def stray_partition_steps(sources):
+    """Calls of ``PARTITION_STEPS`` outside ``PARTITION_BUILDERS``."""
+    return stray_calls(sources, PARTITION_STEPS, PARTITION_BUILDERS)
+
+
+def test_partition_step_detector():
+    sources = {
+        "semigroup.py": ("class Semigroup:\n"
+                         "    def conjugacy(self):\n"
+                         "        uf = UnionFind(3)\n"
+                         "        return self.green_classes('R'), uf\n"
+                         "    def green_classes(self, kind):\n"
+                         "        return self.green_classes(kind)\n"),
+        "conjugacy.py": ("from . import semigroup\n"
+                         "UnionFind = semigroup.UnionFind\n"
+                         "def conjugacy_classes(h):\n"
+                         "    uf = semigroup.UnionFind(2)\n"
+                         "    return h.semigroup.green_classes('L'), uf\n"),
+    }
+    assert stray_partition_steps(sources) == [
+        "conjugacy.py:4: in conjugacy_classes",
+        "conjugacy.py:5: in conjugacy_classes",
+        "semigroup.py:6: in green_classes"]
+
+
+def test_only_the_cached_partition_reads_green_classes():
+    found = stray_partition_steps({
+        path.name: path.read_text(encoding="utf-8")
+        for path in SRC.glob("*.py")})
+    assert not found, "partition steps outside Semigroup.conjugacy:\n" \
+        + "\n".join(found)
 
 
 def traced_layers(spans_source):

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,13 +279,39 @@ def brute_force_green(sg, kind):
     return class_of, len(firsts)
 
 
-def test_green_classes_match_definition(rng):
+def test_green_classes_match_definition(rng, monkeypatch):
     for _ in range(20):
         sg = random_transformation_morphism(rng, max_size=60).semigroup
         for kind in ("R", "L"):
-            class_of, count = sg.green_classes(kind)
-            assert (list(class_of), count) == brute_force_green(sg, kind)
-            assert sg.green_classes(kind)[0] is class_of
+            want = brute_force_green(sg, kind)
+            # one block, one row per block, and blocks of several rows
+            # that leave a short last one
+            for block in (1 << 20, 1, 64):
+                monkeypatch.setattr(semigroup, "_LIGHT_BLOCK", block)
+                class_of, count = sg.green_classes(kind)
+                assert (list(class_of), count) == want
+
+
+def test_green_bitmap_is_packed_and_built_in_blocks(monkeypatch):
+    # |S|^2 / 8 bytes of packed rows plus a few bytes per entry of one
+    # block, where an unpacked bitmap alone would take |S|^2 bytes
+    n, block = 1000, 1 << 12
+    sg = Semigroup((np.arange(n)[:, None] + np.arange(n)) % n, [1])
+    monkeypatch.setattr(semigroup, "_LIGHT_BLOCK", block)
+    tracemalloc.start()
+    try:
+        classes = [sg.green_classes(kind) for kind in ("R", "L")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [count for _, count in classes] == [1, 1]
+    assert peak < n * n // 8 + 32 * block < n * n
+
+
+def test_repeated_generators_are_dropped():
+    sg = Semigroup([[0, 1], [1, 0]], [1, 1])
+    assert sg.generators == (1,)
+    assert sg.right_cayley.tolist() == [[1], [0]]
 
 
 def test_library_semigroups_are_read_only():
