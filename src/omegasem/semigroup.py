@@ -6,8 +6,11 @@ the library builds comes out of one enumeration (Froidure and Pin's):
 times all generators per call, numbers elements in discovery order and
 records the element and generator each came from.
 ``Semigroup.from_right_cayley`` fills the table along that tree, so equal
-inputs always yield identical tables.  Table, rows and tree are read-only
-on every semigroup; a table from outside is copied first.
+inputs always yield identical tables.  A quotient is not enumerated again:
+``Semigroup.quotient`` reads its table, rows and tree off the semigroup it
+comes from, whose discovery order numbers the classes by first occurrence
+as the enumeration would.  Table, rows and tree are read-only on every
+semigroup; a table from outside is copied first.
 
 The table is this module's secret.  Readers elsewhere name the data they
 need: ``right_cayley`` (stored), ``right_rows(xs)`` (s x) and
@@ -64,7 +67,8 @@ def _memory_limit():
 
 # Read once, so that checking a table against it costs one comparison.
 _MEMORY_LIMIT = _memory_limit()
-_LIGHT_BLOCK = 1 << 20  # entries per temporary: Light's test, Green's bitmaps
+# entries per temporary: Light's test, Green's bitmaps, quotient tables
+_LIGHT_BLOCK = 1 << 20
 
 
 def check_ids(values, n, what):
@@ -124,8 +128,9 @@ class Semigroup:
     (-1 for generators), which give shortest representative words.
 
     The constructor checks an outside table: entries in range, every element
-    generated, and associativity.  It drops repeated generators.  Semigroups built by the library come from
-    ``close_generators`` through ``from_right_cayley``, which trusts its rows.
+    generated, and associativity.  It drops repeated generators.  Semigroups
+    built by the library come from ``close_generators`` through
+    ``from_right_cayley``, which trusts its rows, or from ``quotient``.
     """
 
     def __init__(self, table, generators):
@@ -172,6 +177,104 @@ class Semigroup:
         sg._set(_fill_table(rc, generators, *tree), rc, generators, parent,
                 parent_gen)
         return sg
+
+    @cached_property
+    def discovery_ordered(self):
+        """Whether elements are numbered in the order in which the
+        breadth-first search from the generators discovers them, as
+        ``close_generators`` numbers them: the generators are 0..k-1 and
+        ``(parent[t], parent_gen[t])`` strictly increases for t >= k.
+
+        Read from the stored tree, which is a first-discovery tree
+        (``close_generators``, ``cayley_bfs``), the first time it is asked
+        for.
+        """
+        k = len(self.generators)
+        if self.generators != tuple(range(k)):
+            return False
+        key = self.parent[k:].astype(np.int64) * k + self.parent_gen[k:]
+        return bool((key[1:] > key[:-1]).all())
+
+    def quotient(self, labels, generators):
+        """``(q, class_of)``: the quotient by the congruence whose classes
+        ``labels`` names by non-negative integers, and the projection onto
+        it (``class_of[s]`` is the element of q that s maps to).
+
+        q is generated by the classes of ``generators``, element ids that
+        generate this semigroup, and numbered as ``close_generators``
+        numbers it: by breadth-first search from them.  Labels are first
+        renumbered by first occurrence, unless they already are.  A class
+        is multiplied through its first element, its representative, which
+        a congruence allows: the table is ``class_of[table[reps][:,
+        reps]]``, gathered in blocks of rows of at most ``_LIGHT_BLOCK``
+        entries after the budget check, and the generators' right Cayley
+        rows are its first k' columns.  Nothing is closed and no table is
+        filled.
+
+        When this semigroup is ``discovery_ordered`` from ``generators``,
+        the first-occurrence numbering is the breadth-first one, and the
+        tree is the input's at the representatives, mapped through
+        ``class_of``.  A step (s, j) multiplies s by generator j, and the
+        input's search takes its steps in order of s, then of j:
+        - the classes of the generators 0..k-1 come first, in their order;
+        - the first step of the input's search that lands in another class
+          C is (parent[r], parent_gen[r]) for C's first element r: no
+          earlier step reached C, so this one discovers an element of C,
+          and elements are numbered in the order they are discovered;
+        - that step starts at a representative and takes the first
+          generator of its class, since the same step from an earlier
+          element of its class, or with an earlier generator of the same
+          class, would come earlier and land in C too;
+        - such steps map one to one and in order onto the quotient search's
+          steps, as long as that search takes classes in order of first
+          occurrence; by induction along it, it does, and it first reaches
+          each C by the image of (parent[r], parent_gen[r]).
+        A discrete partition then returns this semigroup itself.  Any other
+        input has its classes renumbered by ``cayley_bfs`` over their
+        generator rows before the same read-off.
+        """
+        class_of = np.asarray(labels, dtype=np.int64)
+        top = np.maximum.accumulate(class_of)
+        classes = np.arange(int(top[-1]) + 1)
+        reps = top.searchsorted(classes)  # the first elements, if so numbered
+        if (class_of[reps] != classes).any():
+            _, reps, class_of = np.unique(class_of, return_index=True,
+                                          return_inverse=True)
+            order = reps.argsort()
+            reps = reps[order]
+            class_of = order.argsort()[class_of]
+        m = len(reps)
+        gens = list(dict.fromkeys(generators))
+        if self.discovery_ordered and tuple(gens) == self.generators:
+            if m == self.size:
+                return self, class_of
+            k = int(class_of[:len(gens)].max()) + 1
+            parent = class_of[self.parent[reps]]
+            parent_gen = class_of[self.parent_gen[reps]]
+            parent[:k] = parent_gen[:k] = -1
+        else:
+            qgens = list(dict.fromkeys(class_of[gens].tolist()))
+            k = len(qgens)
+            rc = class_of[self.right_rows(reps[qgens])[reps]]
+            order, parent, parent_gen = cayley_bfs(rc, qgens)
+            if len(order) != m:
+                raise ValueError("classes unreachable from generators")
+            renum = np.empty(m, dtype=np.int64)
+            renum[order] = np.arange(m)
+            class_of, reps = renum[class_of], reps[order]
+            parent = np.asarray(parent)[order]
+            parent[k:] = renum[parent[k:]]
+            parent_gen = np.asarray(parent_gen)[order]
+        check_table_budget(m)
+        table = np.empty((m, m), dtype=np.int32)
+        ids = class_of.astype(np.int32)
+        rows = max(1, _LIGHT_BLOCK // self.size)
+        for x0 in range(0, m, rows):
+            table[x0:x0 + rows] = ids.take(self.table.take(
+                reps[x0:x0 + rows], axis=0).take(reps, axis=1))
+        q = Semigroup.__new__(Semigroup)
+        q._set(table, table[:, :k].copy(), range(k), parent, parent_gen)
+        return q, class_of
 
     def check_associativity(self):
         """Raise ``NonAssociative`` unless the table is associative.

@@ -11,7 +11,12 @@ of its products with every letter image on both sides, in one array pass per
 round, until a round adds no class.  If two rounds have not settled, Hopcroft's
 partition refinement with the smaller-half strategy computes it from the
 initial partition instead.  The quotient morphism is the syntactic morphism
-of [P].
+of [P].  ``Semigroup.quotient`` reads it off the input: on an input numbered
+in discovery order, as every semigroup the library builds is, the classes
+numbered by first occurrence are already numbered as a breadth-first search
+from the letter images would number them, and the tree is the input's, so
+no closure runs and no table is filled.  A discrete partition returns the
+input morphism itself.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from .buchi import weak_to_strong
 from .conjugacy import is_conjugation_closed
 from .errors import NotClosed
 from .morphism import Morphism, PairSet, Recognizer
-from .semigroup import (Semigroup, close_generators, group_rows,
-                        preimages)
+from .semigroup import Semigroup, close_generators, group_rows, preimages
 
 
 # Moore rounds tried before falling back to Hopcroft: one refining round and
@@ -184,6 +188,10 @@ def bfs_numbered(alphabet, images, right_columns):
     numbering depends only on the morphism and not on the ids it came
     with.  Returns the renumbered morphism and ``renum``, which maps old
     ids to new ones.
+
+    Only renaming letters (``mso._renamed``) needs this.  A quotient, also
+    of an input out of discovery order, is numbered the same way by
+    ``Semigroup.quotient``, with no closure.
     """
     rows = right_columns(list(dict.fromkeys(images))).tolist()
     sg, seeds, elements = close_generators(images, rows.__getitem__)
@@ -260,19 +268,15 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         # from the initial partition, so that the split work does not
         # depend on the rounds tried first
         class_of, split_work = _hopcroft(right, left, initial)
-    # quotient under the stable partition, renumbered by BFS from the
-    # letter images so that equal inputs yield identical element numbering;
-    # a class is multiplied by any letter image in it, which a congruence
-    # allows
-    _, rep_arr, tmp_of = np.unique(class_of, return_index=True,
-                                   return_inverse=True)
-    column = {int(tmp_of[x]): j for j, x in enumerate(letters)}
-    new_morphism, renum = bfs_numbered(
-        morphism.alphabet, [int(tmp_of[x]) for x in morphism.images],
-        lambda gens: tmp_of[right[np.ix_(rep_arr,
-                                         [column[c] for c in gens])]])
-    quotient = new_morphism.semigroup
-    projection = renum[tmp_of].astype(np.int64)
+    # the quotient numbered by BFS from the letter images, so that equal
+    # inputs yield identical element numbering; discrete on an input so
+    # numbered, it is the input itself
+    quotient, projection = sg.quotient(class_of, morphism.images)
+    if quotient is sg:
+        new_morphism = morphism
+    else:
+        new_morphism = Morphism(morphism.alphabet, quotient,
+                                projection[list(morphism.images)].tolist())
     proj = projection.tolist()
     accepting = PairSet((proj[s], proj[e]) for s, e in rec.accepting)
     if audit:
@@ -280,7 +284,8 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         # the walk of w from pi(s), and pi(a s) = pi(a) pi(s) makes pi(s t)
         # depend on pi(t) only, so together pi(s t) = pi(s) pi(t).  The
         # quotient of an associative table by a congruence is associative,
-        # so this also vouches for the rows that close_generators read
+        # so this also vouches for the table read off through the
+        # representatives
         pa = projection[letters]
         if not (np.array_equal(projection[right],
                                quotient.right_rows(pa)[projection])

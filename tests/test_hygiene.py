@@ -371,6 +371,45 @@ def test_only_the_cached_partition_reads_green_classes():
         + "\n".join(found)
 
 
+# the only closures: the product and powerset semigroups, the Büchi
+# profiles, the renaming of letters and the adversarial fixture.  A
+# quotient is read off the semigroup it comes from (``Semigroup.quotient``)
+CLOSE_GENERATORS_CALLERS = {("langops.py", "pullback"),
+                            ("langops.py", "project"),
+                            ("buchi.py", "buchi_to_strong"),
+                            ("syntactic.py", "bfs_numbered"),
+                            ("syntactic.py", "adversarial_fixture")}
+
+
+def stray_close_generators_calls(sources):
+    """Calls of ``close_generators`` outside ``CLOSE_GENERATORS_CALLERS``."""
+    return stray_calls(sources, {"close_generators"},
+                       CLOSE_GENERATORS_CALLERS)
+
+
+def test_close_generators_call_detector():
+    sources = {
+        "syntactic.py": ("from .semigroup import close_generators\n"
+                         "def bfs_numbered(images, rows):\n"
+                         "    return close_generators(images, rows)\n"
+                         "def syntactic_morphism(rec):\n"
+                         "    return close_generators(rec, None)\n"),
+        "semigroup.py": ("class Semigroup:\n"
+                         "    def quotient(self, xs):\n"
+                         "        return semigroup.close_generators(xs)\n"),
+    }
+    assert stray_close_generators_calls(sources) == [
+        "semigroup.py:3: in quotient",
+        "syntactic.py:5: in syntactic_morphism"]
+
+
+def test_only_named_callers_close_generators():
+    found = stray_close_generators_calls({
+        path.name: path.read_text(encoding="utf-8")
+        for path in SRC.glob("*.py")})
+    assert not found, "calls of close_generators:\n" + "\n".join(found)
+
+
 def traced_layers(spans_source):
     """``{module: [function, ...]}``: the ``LAYERS`` literal of a
     ``perfbench/spans.py`` source, read without importing it."""

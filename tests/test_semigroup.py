@@ -308,6 +308,49 @@ def test_green_bitmap_is_packed_and_built_in_blocks(monkeypatch):
     assert peak < n * n // 8 + 32 * block < n * n
 
 
+def test_quotient_table_is_read_in_blocks(monkeypatch):
+    # Z_n onto Z_m: the quotient's |Q|^2 int32 table, one block's
+    # temporaries (its columns at the representatives, their intp copy
+    # as indices and their classes: 16 bytes per entry of a block at
+    # most) and a few words per element of index arrays.  Gathering the
+    # representatives' rows at once takes |Q| |S| entries more
+    n, m, block = 1200, 600, 1 << 12
+    sg, _, values = close_generators([1], lambda x: [(x + 1) % n])
+    labels = [v % m for v in values]
+    monkeypatch.setattr(semigroup, "_LIGHT_BLOCK", block)
+    bound = 4 * m * m + 16 * block + 64 * n
+
+    def peak_of(build):
+        tracemalloc.start()
+        try:
+            out = build()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (q, class_of), peak = peak_of(lambda: sg.quotient(labels, [0]))
+    want, _, _ = close_generators([1], lambda x: [(x + 1) % m])
+    assert np.array_equal(q.table, want.table)
+    assert np.array_equal(q.parent, want.parent)
+    assert peak < bound
+    reps = np.unique(class_of, return_index=True)[1]
+    _, unblocked = peak_of(lambda: class_of[sg.table[reps][:, reps]])
+    assert unblocked > bound
+
+
+def test_discovery_order_is_read_from_the_tree():
+    ordered, _, _ = close_generators([1], lambda x: [(x + 1) % 5])
+    assert ordered.discovery_ordered
+    assert Semigroup(ordered.table, [0]).discovery_ordered
+    assert not z_mod(5).discovery_ordered  # generated by element 1
+    # Z_3 with ids 0, 1, 2 for the values 1, 0, 2: the search from
+    # element 0 finds element 2 before element 1
+    value = [1, 0, 2]
+    table = [[value.index((value[i] + value[j]) % 3) for j in range(3)]
+             for i in range(3)]
+    assert not Semigroup(table, [0]).discovery_ordered
+
+
 def test_repeated_generators_are_dropped():
     sg = Semigroup([[0, 1], [1, 0]], [1, 1])
     assert sg.generators == (1,)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,12 +10,14 @@ from omegasem import (NotClosed, PairSet, Recognizer, adversarial_fixture,
                       is_conjugation_closed, is_strong, linked_pairs,
                       maximal_pair_set, member, minimize, syntactic_morphism,
                       universal_recognizer, weak_to_strong)
+from omegasem.formats import dumps_recognizer, loads_recognizer
 from omegasem.langops import language_equivalent
-from omegasem import syntactic
+from omegasem import semigroup, syntactic
 from omegasem.mso import FAMILIES, compile_formula
 from omegasem.syntactic import (_MOORE_ROUNDS, _hopcroft, _moore,
                                 initial_partition, t_semigroup_values,
                                 _t_multiply)
+from omegasem.morphism import Morphism
 from omegasem.semigroup import Semigroup, close_generators, group_rows
 
 from conftest import (random_recognizer, random_upword, section5_morphism)
@@ -267,6 +270,12 @@ def test_adversarial_fixture_takes_hopcroft_fallback():
     result = syntactic_morphism(rec, audit=True)
     assert result.split_work == 359
     assert result.recognizer.morphism.semigroup.size == 14
+    # Hopcroft's class ids are not numbered by first occurrence: they are
+    # renumbered before the quotient is read off
+    digest = hashlib.sha256(
+        dumps_recognizer(result.recognizer).encode()).hexdigest()
+    assert digest == ("b5a3e2f047e1042ea80603b369b3cfb9"
+                      "8f146cf7311e352d37ab2bf593cc2f99")
 
 
 def test_t_semigroup_sizes():
@@ -294,3 +303,134 @@ def test_adversarial_fixture_counts():
 def test_adversarial_fixture_is_linked():
     h, pairs = adversarial_fixture(3)
     assert pairs.issubset(linked_pairs(h.semigroup))
+
+
+def second_closure(rec, class_of):
+    """The quotient closed a second time, the reference for the read-off:
+    classes numbered by ``np.unique``, then closed from their
+    representatives' rows at the letter images and renumbered in the
+    order the closure finds them.  Returns ``(semigroup, images,
+    projection)``."""
+    h = rec.morphism
+    letters = sorted(set(h.images))
+    right = h.semigroup.right_rows(letters)
+    _, reps, tmp_of = np.unique(class_of, return_index=True,
+                                return_inverse=True)
+    column = {int(tmp_of[x]): j for j, x in enumerate(letters)}
+    images = [int(tmp_of[x]) for x in h.images]
+    gens = list(dict.fromkeys(images))
+    rows = tmp_of[right[np.ix_(reps, [column[c] for c in gens])]].tolist()
+    sg, seeds, elements = close_generators(images, rows.__getitem__)
+    renum = np.empty(len(rows), dtype=np.int64)
+    renum[elements] = np.arange(len(rows))
+    return sg, tuple(seeds), renum[tmp_of]
+
+
+def test_quotient_read_off_matches_a_second_closure(rng):
+    # inputs numbered in discovery order, as every library semigroup is:
+    # the quotient read off the input equals the one closed again
+    merged = 0
+    for _ in range(200):
+        rec = weak_to_strong(random_recognizer(rng, max_size=8))
+        assert rec.morphism.semigroup.discovery_ordered
+        right, left, initial = refinement_input(rec)
+        class_of, _ = _moore(right, left, initial, len(initial) + 1)
+        want, images, projection = second_closure(rec, class_of)
+        result = syntactic_morphism(rec, audit=True)
+        got = result.recognizer.morphism
+        assert np.array_equal(got.semigroup.table, want.table)
+        assert np.array_equal(got.semigroup.right_cayley, want.right_cayley)
+        assert got.semigroup.generators == want.generators
+        assert np.array_equal(got.semigroup.parent, want.parent)
+        assert np.array_equal(got.semigroup.parent_gen, want.parent_gen)
+        assert got.images == images
+        assert np.array_equal(result.projection, projection)
+        assert result.recognizer.accepting == {
+            (projection[s], projection[e]) for s, e in rec.accepting}
+        merged += want.size < rec.morphism.semigroup.size
+    assert merged > 100
+
+
+def test_an_ordered_input_is_neither_closed_nor_filled_again(monkeypatch):
+    rng = random.Random(26)
+    recs = [strongify(random_recognizer(rng, max_size=16))
+            for _ in range(10)]
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def record(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, record)
+
+    spy(syntactic, "close_generators")
+    spy(semigroup, "close_generators")
+    spy(semigroup, "_fill_table")
+    sizes = [(syntactic_morphism(rec).recognizer.morphism.semigroup.size,
+              rec.morphism.semigroup.size) for rec in recs]
+    assert calls == []
+    assert any(out < size for out, size in sizes)
+
+
+def test_a_discrete_partition_returns_the_input_morphism(rng, monkeypatch):
+    # a syntactic recognizer minimises to itself: no two elements merge,
+    # and the audit still runs both of its checks
+    checked = []
+    closed = syntactic.is_conjugation_closed
+
+    def check(h, p):
+        checked.append(h)
+        return closed(h, p)
+
+    monkeypatch.setattr(syntactic, "is_conjugation_closed", check)
+    recs = [compile_formula(fam(2)) for fam in FAMILIES.values()]
+    recs += [minimize(random_recognizer(rng, max_size=12))
+             for _ in range(10)]
+    for small in recs:
+        checked.clear()
+        result = syntactic_morphism(small, audit=True)
+        assert result.recognizer.morphism is small.morphism
+        assert result.recognizer.accepting == small.accepting
+        assert result.projection.tolist() == list(
+            range(small.morphism.semigroup.size))
+        assert checked == [small.morphism, small.morphism]
+
+
+def shuffled(rec, rng):
+    """rec with its elements renumbered at random, through
+    ``Semigroup(table, generators)``, and the permutation used."""
+    h = rec.morphism
+    n = h.semigroup.size
+    perm = np.array(rng.sample(range(n), n))
+    back = np.argsort(perm)
+    table = perm[h.semigroup.table[back][:, back]]
+    sg = Semigroup(table, perm[list(h.semigroup.generators)])
+    twin = Morphism(h.alphabet, sg, perm[list(h.images)].tolist())
+    return Recognizer(twin, PairSet((perm[s], perm[e])
+                                    for s, e in rec.accepting),
+                      rec.mode), perm
+
+
+def test_out_of_order_inputs_minimise_like_their_ordered_twin(rng):
+    # a shuffled table from outside, and the same table loaded from a
+    # full dump, give the dump of the ordered input's syntactic recognizer;
+    # minimal inputs too, whose partition is discrete
+    unordered = 0
+    for trial in range(40):
+        rec = weak_to_strong(random_recognizer(rng, max_size=12))
+        if trial % 2:
+            rec = minimize(rec)
+        want = syntactic_morphism(rec)
+        twin, perm = shuffled(rec, rng)
+        unordered += not twin.morphism.semigroup.discovery_ordered
+        got = syntactic_morphism(twin, audit=True)
+        assert dumps_recognizer(got.recognizer) \
+            == dumps_recognizer(want.recognizer)
+        assert np.array_equal(got.projection[perm], want.projection)
+        loaded = loads_recognizer(dumps_recognizer(twin))
+        assert dumps_recognizer(minimize(loaded)) \
+            == dumps_recognizer(want.recognizer)
+    assert unordered > 10
