@@ -40,8 +40,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 from .buchi import BuchiAutomaton, buchi_to_strong
 from .errors import MsoSyntaxError
 from .langops import LetterMap, flip, project, pullback
-from .morphism import PairSet, Recognizer, UPWord, linked_pairs
-from .syntactic import bfs_numbered, minimize
+from .morphism import Recognizer, UPWord, linked_pairs
+from .syntactic import minimize, read_off
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +565,9 @@ def _renamed(rec: Recognizer, ranks, new_ranks) -> Recognizer:
     Bit ``ranks[i]`` of a letter of rec becomes bit ``new_ranks[i]`` of the
     letter of the result.  Renaming letters keeps a syntactic recognizer
     syntactic, so only the element numbering (BFS from the letter images)
-    has to be redone."""
+    changes: the result is read off rec by the discrete partition at the
+    renamed images (``read_off``), and is rec's own semigroup when the
+    distinct images keep their order."""
     h = rec.morphism
     width = len(ranks)
     images = []
@@ -574,11 +576,7 @@ def _renamed(rec: Recognizer, ranks, new_ranks) -> Recognizer:
         for r, nr in zip(ranks, new_ranks):
             old[r] = letter[nr]
         images.append(h.images[int("".join(old), 2)])
-    morphism, renum = bfs_numbered(h.alphabet, images,
-                                   h.semigroup.right_rows)
-    new = renum.tolist()
-    return Recognizer(morphism, PairSet((new[s], new[e])
-                                        for s, e in rec.accepting), "strong")
+    return read_off(rec, range(h.semigroup.size), images)[0]
 
 
 class Compiler:
@@ -591,7 +589,8 @@ class Compiler:
     nodes whose free variables, ranked in ``_canonical_order``, give equal
     ``_alpha_key`` are equal up to a renaming, and share one build: where
     the renaming moves the variables' places in the sorted order, the
-    stored recognizer's letters are permuted and renumbered
+    stored recognizer's letters are permuted and its elements renumbered
+    by a read-off, as a quotient is, with no second closure
     (``_renamed``).  A first-order variable v is only intersected with the
     one-position constraint before its projection if the body does not
     already guarantee it (``_guarded``); the guarded body is the node

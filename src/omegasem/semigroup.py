@@ -6,10 +6,12 @@ the library builds comes out of one enumeration (Froidure and Pin's):
 times all generators per call, numbers elements in discovery order and
 records the element and generator each came from.
 ``Semigroup.from_right_cayley`` fills the table along that tree, so equal
-inputs always yield identical tables.  A quotient is not enumerated again:
-``Semigroup.quotient`` reads its table, rows and tree off the semigroup it
-comes from, whose discovery order numbers the classes by first occurrence
-as the enumeration would.  Table, rows and tree are read-only on every
+inputs always yield identical tables.  No semigroup is enumerated twice:
+``Semigroup.quotient`` reads a quotient's table, rows and tree off the
+semigroup it comes from, whose discovery order numbers the classes by
+first occurrence as the enumeration would.  Renaming letters is read off
+the same way, as the quotient by the discrete partition numbered from the
+renamed letter images.  Table, rows and tree are read-only on every
 semigroup; a table from outside is copied first.
 
 The table is this module's secret.  Readers elsewhere name the data they
@@ -231,7 +233,10 @@ class Semigroup:
           each C by the image of (parent[r], parent_gen[r]).
         A discrete partition then returns this semigroup itself.  Any other
         input has its classes renumbered by ``cayley_bfs`` over their
-        generator rows before the same read-off.
+        generator rows before the same read-off; so has a renaming of
+        letters, the discrete partition with the renamed letter images as
+        ``generators``, unless their distinct ids keep this semigroup's
+        order.
         """
         class_of = np.asarray(labels, dtype=np.int64)
         top = np.maximum.accumulate(class_of)
@@ -553,7 +558,8 @@ def cayley_bfs(rc, generators):
 def check_table_budget(n, entry_bytes=4):
     """Raise ``ClosureCapExceeded`` if an n x n table of ``entry_bytes``
     bytes per entry (int32 by default) needs more memory than this process
-    may use.  Checked before the dense table (``_fill_table``), a loaded
+    may use.  Checked before the dense table (``_fill_table``), a
+    quotient's table (``Semigroup.quotient``, renamings included), a loaded
     full table, and the letter matrices of ``morphism_to_buchi`` and the
     Büchi loader, which allocate n x n bytes per letter."""
     need = entry_bytes * n * n

@@ -11,12 +11,11 @@ of its products with every letter image on both sides, in one array pass per
 round, until a round adds no class.  If two rounds have not settled, Hopcroft's
 partition refinement with the smaller-half strategy computes it from the
 initial partition instead.  The quotient morphism is the syntactic morphism
-of [P].  ``Semigroup.quotient`` reads it off the input: on an input numbered
-in discovery order, as every semigroup the library builds is, the classes
-numbered by first occurrence are already numbered as a breadth-first search
-from the letter images would number them, and the tree is the input's, so
-no closure runs and no table is filled.  A discrete partition returns the
-input morphism itself.
+of [P].  ``read_off`` takes it off the input through
+``Semigroup.quotient``, with no closure and no table fill; a discrete
+partition returns the input morphism itself.  Renaming letters
+(``mso._renamed``) is the same read-off, of the discrete partition at the
+renamed letter images.  Only the adversarial fixture below is closed here.
 """
 
 from __future__ import annotations
@@ -152,9 +151,6 @@ class RefinablePartition:
                 smaller = new if m <= self.size[cid] else cid
                 self._enqueue(smaller)
 
-    def n_classes(self):
-        return len(self.first)
-
 
 @dataclass
 class SyntacticResult:
@@ -177,30 +173,26 @@ def initial_partition(semigroup: Semigroup, qe: np.ndarray):
     return class_of
 
 
-def bfs_numbered(alphabet, images, right_columns):
-    """The morphism with letter images ``images``, numbered by BFS from them.
+def read_off(rec: Recognizer, labels, images):
+    """``(recognizer, projection)``: rec read off onto the quotient by the
+    congruence ``labels``, with the classes of ``images``, element ids one
+    per letter, as letter images (``Semigroup.quotient``).
 
-    ``images`` are ids of the elements of a semigroup that they generate,
-    and ``right_columns(gens)`` gives its right-Cayley rows ``x * g`` of
-    every element x, one column per id of ``gens``: the distinct images in
-    order of first appearance.  ``close_generators`` walks these rows, so
-    elements are renumbered in the order it discovers them, and the
-    numbering depends only on the morphism and not on the ids it came
-    with.  Returns the renumbered morphism and ``renum``, which maps old
-    ids to new ones.
-
-    Only renaming letters (``mso._renamed``) needs this.  A quotient, also
-    of an input out of discovery order, is numbered the same way by
-    ``Semigroup.quotient``, with no closure.
+    The accepting pairs map through the projection.  Minimising reads off
+    the syntactic congruence at the input's own images; renaming letters
+    reads off the discrete partition at the renamed ones.  When neither
+    the semigroup nor the images change, the input morphism is kept.
     """
-    rows = right_columns(list(dict.fromkeys(images))).tolist()
-    sg, seeds, elements = close_generators(images, rows.__getitem__)
-    m = len(rows)
-    if len(elements) != m:
-        raise NotClosed("semigroup is not generated by the letter images")
-    renum = np.empty(m, dtype=np.int64)
-    renum[elements] = np.arange(m)
-    return Morphism(alphabet, sg, seeds), renum
+    h = rec.morphism
+    quotient, projection = h.semigroup.quotient(labels, images)
+    if quotient is h.semigroup and tuple(images) == h.images:
+        morphism = h
+    else:
+        morphism = Morphism(h.alphabet, quotient,
+                            projection[list(images)].tolist())
+    proj = projection.tolist()
+    accepting = PairSet((proj[s], proj[e]) for s, e in rec.accepting)
+    return Recognizer(morphism, accepting, "strong"), projection
 
 
 def _moore(right, left, class_of, rounds):
@@ -271,14 +263,7 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
     # the quotient numbered by BFS from the letter images, so that equal
     # inputs yield identical element numbering; discrete on an input so
     # numbered, it is the input itself
-    quotient, projection = sg.quotient(class_of, morphism.images)
-    if quotient is sg:
-        new_morphism = morphism
-    else:
-        new_morphism = Morphism(morphism.alphabet, quotient,
-                                projection[list(morphism.images)].tolist())
-    proj = projection.tolist()
-    accepting = PairSet((proj[s], proj[e]) for s, e in rec.accepting)
+    result, projection = read_off(rec, class_of, morphism.images)
     if audit:
         # congruence by letter images: pi(s a) = pi(s) pi(a) makes pi(s w)
         # the walk of w from pi(s), and pi(a s) = pi(a) pi(s) makes pi(s t)
@@ -286,15 +271,15 @@ def syntactic_morphism(rec: Recognizer, *, audit=False) -> SyntacticResult:
         # quotient of an associative table by a congruence is associative,
         # so this also vouches for the table read off through the
         # representatives
+        quotient = result.morphism.semigroup
         pa = projection[letters]
         if not (np.array_equal(projection[right],
                                quotient.right_rows(pa)[projection])
                 and np.array_equal(projection[left],
                                    quotient.left_rows(pa)[:, projection])):
             raise NotClosed("refinement did not produce a congruence")
-        if not is_conjugation_closed(new_morphism, accepting):
+        if not is_conjugation_closed(result.morphism, result.accepting):
             raise NotClosed("projected accepting set is not closed")
-    result = Recognizer(new_morphism, accepting, "strong")
     return SyntacticResult(result, projection, split_work)
 
 

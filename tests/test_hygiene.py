@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import itertools
 import pathlib
 import re
 import sys
@@ -116,31 +117,46 @@ def test_pyproject_declares_only_runtime_dependencies():
 
 
 def definitions(source):
-    """``(line, name)`` of every function and class a module defines,
-    methods and nested definitions included (dunders exempt)."""
+    """``(line, name, method)`` of every function and class a module
+    defines, methods and nested definitions included (dunders exempt);
+    ``method`` tells whether it is defined in a class body."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return sorted((node.lineno, node.name)
-                  for node in ast.walk(ast.parse(source))
+    tree = ast.parse(source)
+    methods = {id(item) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for item in node.body}
+    return sorted((node.lineno, node.name, id(node) in methods)
+                  for node in ast.walk(tree)
                   if isinstance(node, kinds)
                   and not (node.name.startswith("__")
                            and node.name.endswith("__")))
 
 
-def references(source):
-    """Every name a module reads: plain names, attribute names, imported
-    names and identifier string constants (``__all__``, lookup tables)."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
+def references(*sources):
+    """``(names, attributes)``: every name the modules read (plain names,
+    attribute names, imported names and identifier string constants such
+    as ``__all__`` or lookup tables), and those of them read as an
+    attribute or named in a string, the only ways to reach a method."""
+    names, attributes = set(), set()
+    for node in itertools.chain.from_iterable(
+            ast.walk(ast.parse(source)) for source in sources):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
-            names.add(node.value)
-    return names
+            attributes.add(node.value)
+    return names | attributes, attributes
+
+
+def unreferenced(definitions, names, attributes):
+    """The ``(line, name)`` of definitions nothing refers to: a method
+    counts as used only when it is read as an attribute or named in a
+    string, any other definition when its name is read at all."""
+    return [(line, name) for line, name, method in definitions
+            if name not in (attributes if method else names)]
 
 
 def test_dead_definition_detector():
@@ -151,28 +167,32 @@ def test_dead_definition_detector():
            "        pass\n"
            "    def dead(self):\n"
            "        pass\n"
+           "    def shadowed(self):\n"
+           "        pass\n"
            "def exported():\n"
            "    pass\n"
            "def lonely():\n"
            "    def inner():\n"
            "        pass\n"
            "__all__ = ['exported']\n")
-    user = "from lib import A as B\n"
-    used = references(lib) | references(user)
-    assert [d for d in definitions(lib) if d[1] not in used] == [
-        (6, "dead"), (10, "lonely"), (11, "inner")]
+    # a local variable that shares a method's name does not use the method
+    user = ("from lib import A as B\n"
+            "def f(lines):\n"
+            "    shadowed = len(lines)\n"
+            "    return shadowed\n")
+    assert unreferenced(definitions(lib), *references(lib, user)) == [
+        (6, "dead"), (8, "shadowed"), (12, "lonely"), (13, "inner")]
 
 
 def test_every_definition_is_referenced():
-    used = set()
-    for top in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            used |= references(path.read_text(encoding="utf-8"))
+    used = references(*(path.read_text(encoding="utf-8")
+                        for top in ("src", "tests", "perfbench")
+                        for path in sorted((ROOT / top).rglob("*.py"))))
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for line, name in definitions(path.read_text(encoding="utf-8")):
-            if name not in used:
-                found.append("%s:%d: %s" % (path.name, line, name))
+        for line, name in unreferenced(
+                definitions(path.read_text(encoding="utf-8")), *used):
+            found.append("%s:%d: %s" % (path.name, line, name))
     assert not found, "definitions nothing refers to:\n" + "\n".join(found)
 
 
@@ -372,12 +392,11 @@ def test_only_the_cached_partition_reads_green_classes():
 
 
 # the only closures: the product and powerset semigroups, the Büchi
-# profiles, the renaming of letters and the adversarial fixture.  A
-# quotient is read off the semigroup it comes from (``Semigroup.quotient``)
+# profiles and the adversarial fixture.  A quotient, and so a renaming of
+# letters, is read off the semigroup it comes from (``Semigroup.quotient``)
 CLOSE_GENERATORS_CALLERS = {("langops.py", "pullback"),
                             ("langops.py", "project"),
                             ("buchi.py", "buchi_to_strong"),
-                            ("syntactic.py", "bfs_numbered"),
                             ("syntactic.py", "adversarial_fixture")}
 
 
@@ -390,6 +409,8 @@ def stray_close_generators_calls(sources):
 def test_close_generators_call_detector():
     sources = {
         "syntactic.py": ("from .semigroup import close_generators\n"
+                         "def adversarial_fixture(values, right):\n"
+                         "    return close_generators(values, right)\n"
                          "def bfs_numbered(images, rows):\n"
                          "    return close_generators(images, rows)\n"
                          "def syntactic_morphism(rec):\n"
@@ -400,7 +421,8 @@ def test_close_generators_call_detector():
     }
     assert stray_close_generators_calls(sources) == [
         "semigroup.py:3: in quotient",
-        "syntactic.py:5: in syntactic_morphism"]
+        "syntactic.py:5: in bfs_numbered",
+        "syntactic.py:7: in syntactic_morphism"]
 
 
 def test_only_named_callers_close_generators():
@@ -408,6 +430,44 @@ def test_only_named_callers_close_generators():
         path.name: path.read_text(encoding="utf-8")
         for path in SRC.glob("*.py")})
     assert not found, "calls of close_generators:\n" + "\n".join(found)
+
+
+# the only searches of the right Cayley graph: rows from outside (the
+# constructor, the loader of ``table: generated`` files) and a quotient
+# renumbered onto other generators than its input's, a renaming of
+# letters among them.  Closures record their tree as they go
+CAYLEY_BFS_CALLERS = {("semigroup.py", "__init__"),
+                      ("semigroup.py", "quotient"),
+                      ("formats.py", "loads_recognizer")}
+
+
+def stray_cayley_bfs_calls(sources):
+    """Calls of ``cayley_bfs`` outside ``CAYLEY_BFS_CALLERS``."""
+    return stray_calls(sources, {"cayley_bfs"}, CAYLEY_BFS_CALLERS)
+
+
+def test_cayley_bfs_call_detector():
+    sources = {
+        "semigroup.py": ("class Semigroup:\n"
+                         "    def __init__(self, rc, gens):\n"
+                         "        return cayley_bfs(rc, gens)\n"
+                         "    def quotient(self, rc, gens):\n"
+                         "        return cayley_bfs(rc, gens)\n"
+                         "def close_generators(rc, gens):\n"
+                         "    return cayley_bfs(rc, gens)\n"),
+        "mso.py": ("from . import semigroup\n"
+                   "def _renamed(rec, rc):\n"
+                   "    return semigroup.cayley_bfs(rc, [0])\n"),
+    }
+    assert stray_cayley_bfs_calls(sources) == [
+        "mso.py:3: in _renamed", "semigroup.py:7: in close_generators"]
+
+
+def test_only_named_callers_search_the_cayley_graph():
+    found = stray_cayley_bfs_calls({
+        path.name: path.read_text(encoding="utf-8")
+        for path in SRC.glob("*.py")})
+    assert not found, "calls of cayley_bfs:\n" + "\n".join(found)
 
 
 def traced_layers(spans_source):

@@ -8,7 +8,7 @@ import pytest
 
 from omegasem import (ClosureCapExceeded, NonAssociative, Semigroup,
                       close_generators, compile_formula, language_included,
-                      minimize, semigroup)
+                      minimize, mso, semigroup)
 from omegasem.mso import psi_formula
 from omegasem.semigroup import _MEMORY_LIMIT, cayley_bfs, preimages
 
@@ -151,24 +151,36 @@ def test_recorded_tree_is_the_search_of_the_built_rows():
 
 
 def test_library_semigroups_are_not_searched_again(monkeypatch):
-    # closures and quotients keep the tree their enumeration found; only
-    # tables from outside (the constructor, the loader) are searched
-    # two 11-element weak recognizers, each upgraded through a Büchi
-    # automaton before their product is closed
+    # closures and quotients keep the tree their enumeration found; a
+    # library semigroup is searched again only to renumber it onto other
+    # generators, as renaming letters does (``mso._renamed``, at most one
+    # search per renaming), and tables from outside (the constructor, the
+    # loader) are searched.  Inclusion of two 11-element weak recognizers,
+    # each upgraded through a Büchi automaton before their product is
+    # closed, searches nothing
     rng = random.Random(0)
     recs = [random_recognizer(rng, max_size=12, alphabet=("a", "b"))
             for _ in range(2)]
     calls = []
+    renamings = []
 
     def spy(*args):
         calls.append(args)
         return cayley_bfs(*args)
 
+    def renamed(*args):
+        renamings.append(args)
+        return rename(*args)
+
     for name, mod in list(sys.modules.items()):
         if name.startswith("omegasem") \
                 and getattr(mod, "cayley_bfs", None) is cayley_bfs:
             monkeypatch.setattr(mod, "cayley_bfs", spy)
+    rename = mso._renamed
+    monkeypatch.setattr(mso, "_renamed", renamed)
     compile_formula(psi_formula(3))
+    assert len(calls) <= len(renamings) == 1
+    calls.clear()
     language_included(*recs)
     assert calls == []
     Semigroup([[0]], [0])

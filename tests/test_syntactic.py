@@ -305,25 +305,32 @@ def test_adversarial_fixture_is_linked():
     assert pairs.issubset(linked_pairs(h.semigroup))
 
 
-def second_closure(rec, class_of):
-    """The quotient closed a second time, the reference for the read-off:
-    classes numbered by ``np.unique``, then closed from their
-    representatives' rows at the letter images and renumbered in the
-    order the closure finds them.  Returns ``(semigroup, images,
-    projection)``."""
-    h = rec.morphism
-    letters = sorted(set(h.images))
-    right = h.semigroup.right_rows(letters)
+def second_closure(rec, class_of, images):
+    """The quotient closed a second time, from the classes of the letter
+    images ``images`` (element ids, one per letter), the reference for the
+    read-off: classes numbered by ``np.unique``, then closed from their
+    representatives' rows at the images and renumbered in the order the
+    closure finds them.  Returns ``(semigroup, images, projection)``."""
     _, reps, tmp_of = np.unique(class_of, return_index=True,
                                 return_inverse=True)
-    column = {int(tmp_of[x]): j for j, x in enumerate(letters)}
-    images = [int(tmp_of[x]) for x in h.images]
-    gens = list(dict.fromkeys(images))
-    rows = tmp_of[right[np.ix_(reps, [column[c] for c in gens])]].tolist()
-    sg, seeds, elements = close_generators(images, rows.__getitem__)
+    first = {}
+    for x in images:
+        first.setdefault(int(tmp_of[x]), x)
+    right = rec.morphism.semigroup.right_rows(list(first.values()))
+    rows = tmp_of[right[reps]].tolist()
+    sg, seeds, elements = close_generators(tmp_of[list(images)].tolist(),
+                                           rows.__getitem__)
     renum = np.empty(len(rows), dtype=np.int64)
     renum[elements] = np.arange(len(rows))
     return sg, tuple(seeds), renum[tmp_of]
+
+
+def assert_same_semigroup(got, want):
+    assert np.array_equal(got.table, want.table)
+    assert np.array_equal(got.right_cayley, want.right_cayley)
+    assert got.generators == want.generators
+    assert np.array_equal(got.parent, want.parent)
+    assert np.array_equal(got.parent_gen, want.parent_gen)
 
 
 def test_quotient_read_off_matches_a_second_closure(rng):
@@ -335,20 +342,51 @@ def test_quotient_read_off_matches_a_second_closure(rng):
         assert rec.morphism.semigroup.discovery_ordered
         right, left, initial = refinement_input(rec)
         class_of, _ = _moore(right, left, initial, len(initial) + 1)
-        want, images, projection = second_closure(rec, class_of)
+        want, images, projection = second_closure(rec, class_of,
+                                                  rec.morphism.images)
         result = syntactic_morphism(rec, audit=True)
         got = result.recognizer.morphism
-        assert np.array_equal(got.semigroup.table, want.table)
-        assert np.array_equal(got.semigroup.right_cayley, want.right_cayley)
-        assert got.semigroup.generators == want.generators
-        assert np.array_equal(got.semigroup.parent, want.parent)
-        assert np.array_equal(got.semigroup.parent_gen, want.parent_gen)
+        assert_same_semigroup(got.semigroup, want)
         assert got.images == images
         assert np.array_equal(result.projection, projection)
         assert result.recognizer.accepting == {
             (projection[s], projection[e]) for s, e in rec.accepting}
         merged += want.size < rec.morphism.semigroup.size
     assert merged > 100
+
+
+def test_renaming_read_off_matches_a_second_closure(rng):
+    # renaming letters is the read-off of the discrete partition at the
+    # permuted letter images: it numbers the elements as a second closure
+    # from those images does, and returns the input semigroup itself when
+    # the distinct images keep their order
+    kept = moved = 0
+    for trial in range(100):
+        rec = strongify(random_recognizer(rng, max_size=12,
+                                          alphabet=("a", "b", "c")))
+        h = rec.morphism
+        assert h.semigroup.discovery_ordered
+        perm = list(range(len(h.alphabet)))
+        if trial % 4:
+            rng.shuffle(perm)
+        images = [h.images[i] for i in perm]
+        labels = np.arange(h.semigroup.size)
+        want, want_images, projection = second_closure(rec, labels, images)
+        got, got_projection = syntactic.read_off(rec, labels, images)
+        assert_same_semigroup(got.morphism.semigroup, want)
+        assert got.morphism.alphabet == h.alphabet
+        assert got.morphism.images == want_images
+        assert np.array_equal(got_projection, projection)
+        assert got.accepting == {(projection[s], projection[e])
+                                 for s, e in rec.accepting}
+        if list(dict.fromkeys(images)) == list(h.semigroup.generators):
+            assert got.morphism.semigroup is h.semigroup
+            if perm == sorted(perm):
+                assert got.morphism is h
+            kept += 1
+        else:
+            moved += 1
+    assert kept > 25 and moved > 25
 
 
 def test_an_ordered_input_is_neither_closed_nor_filled_again(monkeypatch):
@@ -369,6 +407,7 @@ def test_an_ordered_input_is_neither_closed_nor_filled_again(monkeypatch):
     spy(syntactic, "close_generators")
     spy(semigroup, "close_generators")
     spy(semigroup, "_fill_table")
+    spy(semigroup, "cayley_bfs")
     sizes = [(syntactic_morphism(rec).recognizer.morphism.semigroup.size,
               rec.morphism.semigroup.size) for rec in recs]
     assert calls == []
