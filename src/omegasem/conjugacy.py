@@ -35,12 +35,17 @@ def conjugacy_classes(morphism: Morphism) -> ConjugacyResult:
 
 
 def close_under_conjugation(morphism: Morphism, accepting: PairSet) -> PairSet:
-    """The smallest conjugation-closed superset of ``accepting``."""
+    """The smallest conjugation-closed superset of ``accepting``:
+    ``accepting`` itself when it is closed, that is when the classes it
+    meets hold no more pairs than it does."""
     if not accepting.issubset(linked_pairs(morphism.semigroup)):
         raise NotLinkedPair("accepting set contains a non-linked pair")
     result = conjugacy_classes(morphism)
-    hit = {result.class_of[p] for p in accepting}
-    return PairSet(p for cid in hit for p in result.classes[cid])
+    hit = [result.classes[cid] for cid in
+           {result.class_of[p] for p in accepting}]
+    if sum(map(len, hit)) == len(accepting):
+        return accepting
+    return PairSet(p for cls in hit for p in cls)
 
 
 def is_conjugation_closed(morphism: Morphism, accepting: PairSet) -> bool:

@@ -131,10 +131,13 @@ def language_included(r1: Recognizer, r2: Recognizer):
     Over a shared morphism the sets are decided as they are given.  Across
     two morphisms r1, as it is, and the strong form of r2 are pulled back.
     """
+    if r1.morphism.same_as(r2.morphism):
+        return decide_inclusion(r1.morphism, r1.accepting, r2.accepting,
+                                r2.mode)
     # the one upgrade left on a decision path; ROADMAP item 2 deletes this
     # line after item 1a
-    r2 = r2 if r1.morphism.same_as(r2.morphism) else weak_to_strong(r2)
-    h, sets = _decision_sets(r1, r2)
+    r2 = weak_to_strong(r2)
+    h, sets = _pullback_pair(r1, r2)
     return decide_inclusion(h, *sets, r2.mode)
 
 

@@ -32,10 +32,14 @@ memory this process may use (the physical memory, or a lower
 ``RLIMIT_AS``); the full table is checked before it is allocated, and
 ``close_generators`` stops before an element whose table it would refuse.
 
-Derived data is computed the first time it is asked for and cached on the
-semigroup: the idempotents, their columns and idempotent powers as
+Derived data is computed once, the first time it is asked for, and cached
+on the semigroup: the idempotents, their columns and idempotent powers as
 read-only arrays, the linked pairs as a ``PairSet``, an immutable set of
 (s, e) pairs, and their conjugacy classes as a frozen ``ConjugacyResult``.
+A quotient inherits the idempotents, idempotent powers and linked pairs
+that its input has cached, mapped through the projection, so minimising
+and renaming compute none of them again.  Whether a semigroup is numbered
+in discovery order is recorded by the builders that number it so.
 Conjugacy is a relation on the semigroup alone, so the partition is
 computed once per semigroup, whatever letters map onto it.  It reads
 Green's R- and L-classes once each; ``green_classes`` keeps no copy, and
@@ -187,9 +191,11 @@ class Semigroup:
         ``close_generators`` numbers them: the generators are 0..k-1 and
         ``(parent[t], parent_gen[t])`` strictly increases for t >= k.
 
-        Read from the stored tree, which is a first-discovery tree
-        (``close_generators``, ``cayley_bfs``), the first time it is asked
-        for.
+        ``close_generators`` and ``quotient`` number their semigroups so
+        and record it as they build them.  For a semigroup from outside
+        (``Semigroup(table, generators)``, a loaded file) it is read from
+        the stored tree, which is a first-discovery tree (``cayley_bfs``),
+        the first time it is asked for.
         """
         k = len(self.generators)
         if self.generators != tuple(range(k)):
@@ -236,7 +242,21 @@ class Semigroup:
         generator rows before the same read-off; so has a renaming of
         letters, the discrete partition with the renamed letter images as
         ``generators``, unless their distinct ids keep this semigroup's
-        order.
+        order.  Either way q is numbered in discovery order, and records
+        so (``discovery_ordered``).
+
+        q inherits the idempotents, idempotent powers and linked pairs
+        that this semigroup has cached, mapped through ``class_of``, and
+        reads no table for them.  The projection is a morphism onto q, so
+        it maps idempotents to idempotents and linked pairs to linked
+        pairs, and:
+        - [s]^omega = [s^omega]: the image of s^omega is an idempotent
+          power of [s], and there is only one;
+        - a class is idempotent iff it holds an idempotent: if [s] is,
+          then s^omega lies in [s^omega] = [s]^omega = [s];
+        - every linked pair of q is an image: if ([s], [e]) is linked and
+          f = e^omega, then [f] = [e] and (s f, f) is linked, since
+          s f f = s f, with [s f] = [s][e] = [s].
         """
         class_of = np.asarray(labels, dtype=np.int64)
         top = np.maximum.accumulate(class_of)
@@ -279,7 +299,26 @@ class Semigroup:
                 reps[x0:x0 + rows], axis=0).take(reps, axis=1))
         q = Semigroup.__new__(Semigroup)
         q._set(table, table[:, :k].copy(), range(k), parent, parent_gen)
+        q.discovery_ordered = True
+        self._inherit(q, class_of, reps)
         return q, class_of
+
+    def _inherit(self, q, class_of, reps):
+        """Cache on the quotient q, projected by ``class_of`` with class
+        representatives ``reps``, the images of the idempotents,
+        idempotent powers and linked pairs that this semigroup has cached
+        (see ``quotient``).  Nothing is computed that was not."""
+        known = self.__dict__
+        if "idempotents" in known:
+            idem = np.zeros(q.size, dtype=bool)
+            idem[class_of[known["idempotents"]]] = True
+            q.idempotents = _frozen(idem)
+        if "idempotent_powers" in known:
+            q.idempotent_powers = _frozen(class_of[
+                known["idempotent_powers"][reps]].astype(np.int32))
+        if "linked" in known:
+            proj = class_of.tolist()
+            q.linked = PairSet((proj[s], proj[e]) for s, e in known["linked"])
 
     def check_associativity(self):
         """Raise ``NonAssociative`` unless the table is associative.
@@ -334,8 +373,7 @@ class Semigroup:
     @cached_property
     def idempotents(self):
         """Boolean mask of idempotent elements."""
-        n = self.size
-        return _frozen(self.table[np.arange(n), np.arange(n)] == np.arange(n))
+        return _frozen(self.table.diagonal() == np.arange(self.size))
 
     @cached_property
     def idempotent_columns(self):
@@ -631,4 +669,5 @@ def close_generators(values: Sequence, right):
         rc_rows.append([index[p] for p in products])
     sg = Semigroup.from_right_cayley(
         rc_rows, range(ngen), (range(len(elements)), parent, parent_gen))
+    sg.discovery_ordered = True  # numbered as the search found them
     return sg, seed_indices, elements

@@ -5,17 +5,21 @@ Q with [Q] = [P] is Q = {(s, t) : (s f, f) in P where f is the idempotent
 power of t}.  Column t of Q is the column of the idempotent f, so Q is read
 through its |E| idempotent columns, an |S| x |E| matrix, and never built
 densely.  The syntactic congruence is the coarsest congruence refining
-the relation that identifies elements with equal Q-rows and Q-columns.  It
-is computed by Moore rounds: each element's class is refined by the classes
-of its products with every letter image on both sides, in one array pass per
-round, until a round adds no class.  If two rounds have not settled, Hopcroft's
-partition refinement with the smaller-half strategy computes it from the
-initial partition instead.  The quotient morphism is the syntactic morphism
-of [P].  ``read_off`` takes it off the input through
-``Semigroup.quotient``, with no closure and no table fill; a discrete
-partition returns the input morphism itself.  Renaming letters
-(``mso._renamed``) is the same read-off, of the discrete partition at the
-renamed letter images.  Only the adversarial fixture below is closed here.
+the relation that identifies elements with equal Q-rows and Q-columns:
+the initial partition, one grouping of each element's packed Q-row and
+Q-column, numbered by first occurrence.  The congruence is computed by
+Moore rounds: each element's class is refined by the classes of its
+products with every letter image on both sides, in one array pass per
+round, until a round adds no class.  If two rounds have not settled,
+Hopcroft's partition refinement with the smaller-half strategy computes
+it from the initial partition instead.  The quotient morphism is the
+syntactic morphism of [P].  ``read_off`` takes it off the input through
+``Semigroup.quotient``, with no closure and no table fill, and the
+quotient inherits the input's idempotents, idempotent powers and linked
+pairs; a discrete partition returns the input morphism itself.  Renaming
+letters (``mso._renamed``) is the same read-off, of the discrete
+partition at the renamed letter images.  Only the adversarial fixture
+below is closed here.
 """
 
 from __future__ import annotations
@@ -162,15 +166,21 @@ class SyntacticResult:
 
 def initial_partition(semigroup: Semigroup, qe: np.ndarray):
     """Class ids of the row/column-signature relation of Q, read from its
-    idempotent columns ``qe`` (see ``maximal_pair_set``), numbered as if Q
-    were dense: the column of t is the packed column of its idempotent
-    power."""
-    row_ids, _ = group_rows(np.packbits(qe, axis=1))
+    idempotent columns ``qe`` (see ``maximal_pair_set``) and numbered by
+    first occurrence.
+
+    Each element's signature is its packed Q-row followed by the packed
+    Q-column of its idempotent power, which is its own column of Q; the
+    signatures are grouped once.  The gathered columns are the one
+    |S|^2 / 8 temporary."""
+    rows = np.packbits(qe, axis=1)
+    cols = np.packbits(qe, axis=0).T
     col = np.cumsum(semigroup.idempotents) - 1
-    fpow = semigroup.idempotent_powers
-    col_ids, n_cols = group_rows(np.packbits(qe, axis=0).T[col[fpow]])
-    _, class_of = np.unique(row_ids * n_cols + col_ids, return_inverse=True)
-    return class_of
+    width = rows.shape[1]
+    signature = np.empty((len(qe), width + cols.shape[1]), dtype=np.uint8)
+    signature[:, :width] = rows
+    signature[:, width:] = cols[col[semigroup.idempotent_powers]]
+    return group_rows(signature)[0]
 
 
 def read_off(rec: Recognizer, labels, images):

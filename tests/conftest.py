@@ -98,6 +98,21 @@ def product_sizes(monkeypatch):
     return sizes
 
 
+def shuffled(rec, rng):
+    """rec with its elements renumbered at random, through
+    ``Semigroup(table, generators)``, and the permutation used."""
+    h = rec.morphism
+    n = h.semigroup.size
+    perm = np.array(rng.sample(range(n), n))
+    back = np.argsort(perm)
+    table = perm[h.semigroup.table[back][:, back]]
+    sg = Semigroup(table, perm[list(h.semigroup.generators)])
+    twin = Morphism(h.alphabet, sg, perm[list(h.images)].tolist())
+    return Recognizer(twin, PairSet((perm[s], perm[e])
+                                    for s, e in rec.accepting),
+                      rec.mode), perm
+
+
 def random_upword(rng, alphabet, max_prefix=4, max_period=4):
     prefix = tuple(rng.choice(alphabet)
                    for _ in range(rng.randint(0, max_prefix)))

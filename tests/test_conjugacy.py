@@ -83,7 +83,9 @@ def test_close_under_conjugation_is_closure(rng):
         closed = close_under_conjugation(h, ps)
         assert ps.issubset(closed)
         assert is_conjugation_closed(h, closed)
-        assert close_under_conjugation(h, closed) == closed
+        # a closed set comes back as it is
+        assert (closed is ps) == (closed == ps)
+        assert close_under_conjugation(h, closed) is closed
         # closure adds whole conjugacy classes, nothing else
         cc = conjugacy_classes(h)
         expected = set()

@@ -8,12 +8,13 @@ import pytest
 
 from omegasem import (ClosureCapExceeded, NonAssociative, Semigroup,
                       close_generators, compile_formula, language_included,
-                      minimize, mso, semigroup)
+                      minimize, mso, semigroup, syntactic_morphism,
+                      weak_to_strong)
 from omegasem.mso import psi_formula
 from omegasem.semigroup import _MEMORY_LIMIT, cayley_bfs, preimages
 
 from conftest import (random_recognizer, random_transformation_morphism,
-                      s1_table)
+                      s1_table, shuffled)
 
 
 def z_mod(n):
@@ -361,6 +362,84 @@ def test_discovery_order_is_read_from_the_tree():
     table = [[value.index((value[i] + value[j]) % 3) for j in range(3)]
              for i in range(3)]
     assert not Semigroup(table, [0]).discovery_ordered
+
+
+def built_semigroups(rng):
+    """Closures, quotients by their syntactic congruence, and renamings
+    (the discrete partition at permuted letter images), of inputs in and
+    out of discovery order.  Yields ``(input, labels, images)``; the
+    input's derived data is cached."""
+    for trial in range(60):
+        rec = weak_to_strong(random_recognizer(rng, max_size=12,
+                                               alphabet=("a", "b", "c")))
+        if trial % 3 == 2:  # elements renumbered, a table from outside
+            rec, _ = shuffled(rec, rng)
+        h = rec.morphism
+        yield h.semigroup, syntactic_morphism(rec).projection, h.images
+        images = list(h.images)
+        rng.shuffle(images)
+        yield h.semigroup, np.arange(h.semigroup.size), images
+
+
+def test_builders_record_discovery_order(rng):
+    # closures and quotients record that they are numbered in discovery
+    # order as they build it, and the record agrees with the tree; tables
+    # from outside are checked when asked
+    tree_check = Semigroup.discovery_ordered.func
+    unordered = 0
+    for sg, labels, images in built_semigroups(rng):
+        unordered += not tree_check(sg)
+        q, _ = sg.quotient(labels, images)
+        assert q.__dict__["discovery_ordered"] is True
+        assert tree_check(q)
+    assert unordered >= 20
+    for _ in range(20):
+        sg = random_transformation_morphism(rng, max_size=40).semigroup
+        assert sg.__dict__["discovery_ordered"] is True
+        assert tree_check(sg)
+        twin = Semigroup(sg.table, sg.generators)
+        assert "discovery_ordered" not in twin.__dict__
+        assert twin.discovery_ordered
+
+
+def derived_from_table(sg):
+    """Idempotents, idempotent powers and linked pairs straight from the
+    table."""
+    t = sg.table
+    idem = [t[s, s] == s for s in range(sg.size)]
+    powers = []
+    for s in range(sg.size):
+        p = s
+        while not idem[p]:
+            p = t[p, s]
+        powers.append(p)
+    linked = {(s, e) for e in range(sg.size) if idem[e]
+              for s in range(sg.size) if t[s, e] == s}
+    return idem, powers, linked
+
+
+def test_quotients_inherit_derived_data(rng):
+    # a quotient inherits what its input has cached, mapped through the
+    # projection, and it equals what the quotient's own table gives; an
+    # input with nothing cached passes nothing on
+    inherited = 0
+    for sg, labels, images in built_semigroups(rng):
+        fresh = Semigroup(sg.table, sg.generators)
+        for source in (sg, fresh):
+            q, _ = source.quotient(labels, images)
+            if q is source:
+                continue
+            names = ("idempotents", "idempotent_powers", "linked")
+            cached = [name in q.__dict__ for name in names]
+            assert cached == [source is sg] * 3
+            inherited += cached[0]
+            idem, powers, linked = derived_from_table(q)
+            assert q.idempotents.tolist() == idem
+            assert q.idempotent_powers.tolist() == powers
+            assert q.linked == linked
+            assert not q.idempotents.flags.writeable
+            assert not q.idempotent_powers.flags.writeable
+    assert inherited > 60
 
 
 def test_repeated_generators_are_dropped():

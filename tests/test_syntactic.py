@@ -17,10 +17,10 @@ from omegasem.mso import FAMILIES, compile_formula
 from omegasem.syntactic import (_MOORE_ROUNDS, _hopcroft, _moore,
                                 initial_partition, t_semigroup_values,
                                 _t_multiply)
-from omegasem.morphism import Morphism
-from omegasem.semigroup import Semigroup, close_generators, group_rows
+from omegasem.semigroup import Semigroup, close_generators
 
-from conftest import (random_recognizer, random_upword, section5_morphism)
+from conftest import (random_recognizer, random_upword, section5_morphism,
+                      shuffled)
 
 
 def strongify(rec):
@@ -64,16 +64,17 @@ def test_maximal_pair_set_matches_definition(rng):
 
 
 def test_initial_partition_matches_dense_signatures(rng):
-    # the class labels are those of the dense row and column signatures,
-    # numbered by first occurrence: Hopcroft's split work depends on them
+    # the classes of the dense signatures, each element's row of Q and
+    # its column, numbered by first occurrence
     for rec in q_test_inputs(rng) + [closed_adversarial(2)]:
         sg = rec.morphism.semigroup
         bits = dense_q(sg, maximal_pair_set(rec.morphism, rec.accepting))
-        row_ids, _ = group_rows(np.packbits(bits, axis=1))
-        col_ids, n_cols = group_rows(np.packbits(bits, axis=0).T)
-        _, dense = np.unique(row_ids * n_cols + col_ids, return_inverse=True)
-        assert np.array_equal(initial_partition(
-            sg, maximal_pair_set(rec.morphism, rec.accepting)), dense)
+        first = {}
+        dense = [first.setdefault((bits[s].tobytes(), bits[:, s].tobytes()),
+                                  len(first)) for s in range(sg.size)]
+        assert initial_partition(
+            sg, maximal_pair_set(rec.morphism, rec.accepting)).tolist() \
+            == dense
 
 
 def test_maximal_pair_set_is_language_maximal(rng):
@@ -263,19 +264,24 @@ def test_moore_rounds_agree_with_hopcroft(rng):
 
 
 def test_adversarial_fixture_takes_hopcroft_fallback():
-    # the pinned minimize-adversarial split work at n = 3: the Moore rounds
-    # do not settle, and Hopcroft starts from the initial partition
-    rec = closed_adversarial(3)
-    assert not _moore(*refinement_input(rec), _MOORE_ROUNDS)[1]
-    result = syntactic_morphism(rec, audit=True)
-    assert result.split_work == 359
-    assert result.recognizer.morphism.semigroup.size == 14
-    # Hopcroft's class ids are not numbered by first occurrence: they are
-    # renumbered before the quotient is read off
-    digest = hashlib.sha256(
-        dumps_recognizer(result.recognizer).encode()).hexdigest()
-    assert digest == ("b5a3e2f047e1042ea80603b369b3cfb9"
-                      "8f146cf7311e352d37ab2bf593cc2f99")
+    # the pinned minimize-adversarial sizes and split work at n = 3 and 4:
+    # the Moore rounds do not settle, and Hopcroft starts from the initial
+    # partition
+    pins = {3: (14, 359, "b5a3e2f047e1042ea80603b369b3cfb9"
+                         "8f146cf7311e352d37ab2bf593cc2f99"),
+            4: (22, 1195, "2fcfca620fea000f46140ac8841728d2"
+                          "66fd63f69afef0eb74d44813d6aa9ee6")}
+    for n, (size, split_work, want) in pins.items():
+        rec = closed_adversarial(n)
+        assert not _moore(*refinement_input(rec), _MOORE_ROUNDS)[1]
+        result = syntactic_morphism(rec, audit=True)
+        assert result.split_work == split_work
+        assert result.recognizer.morphism.semigroup.size == size
+        # Hopcroft's class ids are not numbered by first occurrence: they
+        # are renumbered before the quotient is read off
+        digest = hashlib.sha256(
+            dumps_recognizer(result.recognizer).encode()).hexdigest()
+        assert digest == want
 
 
 def test_t_semigroup_sizes():
@@ -436,21 +442,6 @@ def test_a_discrete_partition_returns_the_input_morphism(rng, monkeypatch):
         assert result.projection.tolist() == list(
             range(small.morphism.semigroup.size))
         assert checked == [small.morphism, small.morphism]
-
-
-def shuffled(rec, rng):
-    """rec with its elements renumbered at random, through
-    ``Semigroup(table, generators)``, and the permutation used."""
-    h = rec.morphism
-    n = h.semigroup.size
-    perm = np.array(rng.sample(range(n), n))
-    back = np.argsort(perm)
-    table = perm[h.semigroup.table[back][:, back]]
-    sg = Semigroup(table, perm[list(h.semigroup.generators)])
-    twin = Morphism(h.alphabet, sg, perm[list(h.images)].tolist())
-    return Recognizer(twin, PairSet((perm[s], perm[e])
-                                    for s, e in rec.accepting),
-                      rec.mode), perm
 
 
 def test_out_of_order_inputs_minimise_like_their_ordered_twin(rng):
