@@ -1,9 +1,12 @@
 """Conversions between Büchi automata and recognizing morphisms.
 
-Büchi -> morphism: map each word to its transition matrix over {0, 1, 2}
-(0: no path, 1: path, 2: path through a final state); the matrices of the
-letters generate a finite semigroup, and the accepting linked pairs are read
-off directly.  The resulting accepting set is conjugation-closed.
+Büchi -> morphism: map each word to its transition profile, which tells
+for each pair of states (p, q) whether the word leads p to q, and whether
+it can do so through a final state.  The profiles of the letters generate
+a finite semigroup, and the accepting linked pairs are read off directly.
+The resulting accepting set is conjugation-closed.  A profile is stored in
+the shape of its automaton: as bit rows when the automaton is
+nondeterministic, as one target per state when it is deterministic.
 
 Morphism -> Büchi: the transition-profile automaton with states (s, e) in
 S^1 x E(S), which guesses the linked pair of a run and consumes the
@@ -54,52 +57,148 @@ class BuchiAutomaton:
             fin[p] = True
         return cls(n_states, alphabet, edges, ini, fin)
 
-    def letter_matrix(self, a):
-        """The {0,1,2} transition profile of a single letter."""
-        m = self.edges[a].astype(np.int8)
-        fin = self.final
-        two = m & (fin[:, None] | fin[None, :])
-        return np.where(two, np.int8(2), m)
-
 
 def buchi_to_strong(aut: BuchiAutomaton) -> Recognizer:
     """A strong recognizer of L(aut) over the transition-profile semigroup.
 
-    Profiles are closed as the bytes of int8 matrices, each times all the
-    letter profiles in two float32 matmuls, which BLAS runs.  A linked pair
-    (s, e) is accepting iff some run starting in an initial state follows s
-    and then loops on e through a final state.
+    The profile of a word w tells, for each pair of states (p, q), whether
+    w has no path from p to q (0), a path (1), or a path through a final
+    state (2).  Profiles are closed in a shape chosen by the automaton
+    alone: target gathers (``_target_profiles``) when each letter takes
+    every state to at most one state, bit rows (``_bit_profiles``)
+    otherwise.  Either shape stores exactly one value per {0, 1, 2}
+    matrix, so the closure finds the same elements in the same order.  A
+    linked pair (s, e) is accepting iff some run starting in an initial
+    state follows s and then loops on e through a final state.
     """
     n = aut.n_states
-    values = [aut.letter_matrix(a).tobytes() for a in aut.alphabet]
-    gens = list(dict.fromkeys(values))
-    # cols[p, j*n + q] = entry (p, q) of generator j
-    cols = np.frombuffer(b"".join(gens), dtype=np.int8).reshape(
-        len(gens), n, n).transpose(1, 0, 2).reshape(n, len(gens) * n)
-    path = (cols >= 1).astype(np.float32)
-    # x g has a 2 where x has a 2 before a path of g, or a path before a 2
-    via_final = np.concatenate([path, (cols == 2).astype(np.float32)])
-
-    def right(x):
-        m = np.frombuffer(x, dtype=np.int8).reshape(n, n)
-        a = (m >= 1).astype(np.float32)
-        b = np.concatenate([m == 2, a], axis=1).astype(np.float32)
-        out = ((a @ path) > 0).astype(np.int8) + ((b @ via_final) > 0)
-        return [out[:, j * n:(j + 1) * n].tobytes()
-                for j in range(len(gens))]
-
+    letters = np.array([aut.edges[a] for a in aut.alphabet],
+                       dtype=bool).reshape(len(aut.alphabet), n, n)
+    deterministic = letters.size > 0 and (letters.sum(axis=2) <= 1).all()
+    values, right, read = (_target_profiles if deterministic
+                           else _bit_profiles)(letters, aut.final)
     sg, seeds, elements = close_generators(values, right)
     morphism = Morphism(aut.alphabet, sg, seeds)
-    profiles = np.frombuffer(b"".join(elements),
-                             dtype=np.int8).reshape(sg.size, n, n)
     # reach[s, q]: s leads from an initial state to q; loops[e, q]: e loops
     # on q through a final state
-    reach = (profiles[:, aut.initial, :] >= 1).any(axis=1)
-    loops = np.diagonal(profiles, axis1=1, axis2=2) == 2
+    reach, loops = read(elements, aut.initial)
     ss, es = linked_pairs(sg).arrays()
     hit = (reach[ss] & loops[es]).any(1)
     return Recognizer(morphism, PairSet(zip(ss[hit].tolist(),
                                             es[hit].tolist())), "strong")
+
+
+def _bit_profiles(letters, final):
+    """Profiles of a nondeterministic automaton as 2n bit rows in one int.
+
+    Row p holds the set of states the word leads p to in its low n bits
+    (``path``), and the subset it reaches through a final state in its
+    high n bits (``fin``); bit q of ``path`` row p sits at 2 n p + q.  Row
+    p of x g is read off row p of x alone: its ``path`` is the union of
+    g's ``path`` rows over the bits of x's ``path``, and its ``fin`` the
+    union of g's ``fin`` rows over those bits joined with the union of g's
+    ``path`` rows over the bits of x's ``fin``.  The union is taken for
+    every generator at once, one profile width apart, and memoised by row
+    value for the length of one closure.
+    """
+    k, n = len(letters), letters.shape[1]
+    width, row_mask, path_mask = 2 * n * n, (1 << 2 * n) - 1, (1 << n) - 1
+    fin = letters & (final[:, None] | final)
+    values = _ints(np.concatenate([letters, fin], axis=2).reshape(k, width))
+    gens = list(dict.fromkeys(values))
+    # what bit q of a row of x adds to that row of every x g, each g in its
+    # own slot: rows[q] for a path bit (g's row q), rows[n + q] for a fin
+    # bit (g's path row q, as a fin)
+    rows = [0] * (2 * n)
+    for j, g in enumerate(gens):
+        for q in range(n):
+            row = g >> 2 * n * q & row_mask
+            rows[q] |= row << j * width
+            rows[n + q] |= (row & path_mask) << n + j * width
+    memo = {0: 0}
+    shifts = [2 * n * p for p in range(n)]
+    full = (1 << width) - 1
+    slots = [j * width for j in range(len(gens))]
+
+    def right(x):
+        out = 0
+        for s in shifts:
+            r = x >> s & row_mask
+            u = memo.get(r)
+            if u is None:
+                u = memo[r] = _union(rows, r)
+            out |= u << s
+        return [out >> s & full for s in slots]
+
+    def read(elements, initial):
+        size = (width + 7) // 8
+        bits = np.unpackbits(np.frombuffer(
+            b"".join(x.to_bytes(size, "little") for x in elements),
+            dtype=np.uint8).reshape(len(elements), size), axis=1,
+            count=width, bitorder="little").view(bool)
+        bits = bits.reshape(len(elements), n, 2, n)
+        return (bits[:, initial, 0].any(axis=1),
+                np.diagonal(bits[:, :, 1], axis1=1, axis2=2))
+
+    return values, right, read
+
+
+def _union(rows, bits):
+    """The union of ``rows[q]`` over the set bits q of ``bits``."""
+    u = 0
+    while bits:
+        low = bits & -bits
+        u |= rows[low.bit_length() - 1]
+        bits ^= low
+    return u
+
+
+def _target_profiles(letters, final):
+    """Profiles of a deterministic automaton as one code per state.
+
+    The code of state p is 2 t + f, where t is the state the word leads p
+    to and f tells whether it passes a final state on the way; 2 n stands
+    for "no path", which carries no flag.  A code c of x becomes the code
+    of x g by ``step[g, c]``, so a product with every generator is one
+    gather.
+    """
+    n = letters.shape[1]
+    dtype = np.min_scalar_type(2 * n + 1)
+    sink = 2 * n
+    target = np.where(letters.any(axis=2), letters.argmax(axis=2), n)
+    through = final | np.append(final, False)[target]
+    codes = np.where(target == n, sink, 2 * target + through).astype(dtype)
+    values = [row.tobytes() for row in codes]
+    gens = np.array([np.frombuffer(v, dtype=dtype)
+                     for v in dict.fromkeys(values)])
+    c = np.arange(sink + 1)
+    step = np.concatenate([gens, np.full((len(gens), 1), sink, dtype)],
+                          axis=1)[:, c >> 1] | (c & 1)
+    step[step == sink + 1] = sink  # no path, no flag
+    step = step.astype(dtype)
+    size = n * dtype.itemsize
+
+    def right(x):
+        out = step[:, np.frombuffer(x, dtype=dtype)].tobytes()
+        return [out[i:i + size] for i in range(0, len(out), size)]
+
+    def read(elements, initial):
+        codes = np.frombuffer(b"".join(elements),
+                              dtype=dtype).reshape(len(elements), n)
+        reach = np.zeros((len(elements), n + 1), dtype=bool)
+        reach[np.arange(len(elements))[:, None], codes[:, initial] >> 1] = True
+        return reach[:, :n], codes == 2 * np.arange(n) + 1
+
+    return values, right, read
+
+
+def _ints(bits):
+    """Each row of a 2-d boolean array as an int, bit i for column i, from
+    one packed pass."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * size:(i + 1) * size], "little")
+            for i in range(len(bits))]
 
 
 def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
@@ -108,10 +207,11 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     State (s, e) is numbered i (|S| + 1) + s, where e is the i-th
     idempotent and s = |S| stands for the identity of S^1.  Reading a moves
     (s, e) to (t, e) when h(a) t is s or s e, so each letter's matrix is
-    block diagonal, one (|S| + 1)^2 block per idempotent, built with array
-    operations, after a budget check.  It reads the left rows of the letter
-    images and the idempotent columns, each with the identity of S^1
-    appended.  The initial states are P, the final ones (1, e).
+    block diagonal, one (|S| + 1)^2 block per idempotent; all of them are
+    built in one array operation, after a budget check.  It reads the left
+    rows of the letter images and the idempotent columns, each with the
+    identity of S^1 appended.  The initial states are P, the final ones
+    (1, e).
     """
     h = rec.morphism
     sg = h.semigroup
@@ -120,26 +220,22 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     k = len(idems)
     n_states = k * n1
     check_table_budget(n_states, entry_bytes=len(h.alphabet))
-    diag = np.arange(k)
     # targets[i, s] = s e_i for s in S^1
     targets = np.concatenate([cols, idems[None]]).T[:, :, None]
     letters = sorted(set(h.images))
     # hat[j, t] = x_j t for the letter images x_j and t in S^1
     hat = np.concatenate([sg.left_rows(letters),
                           np.array(letters)[:, None]], axis=1)
-    row = np.arange(n1)[:, None]
-    edges = {}
-    for a, ha in zip(h.alphabet, h.images):
-        x = hat[letters.index(ha)]
-        blocks = (x == row)[None] | (x == targets)
-        m = np.zeros((k, n1, k, n1), dtype=bool)
-        m[diag, :, diag, :] = blocks
-        edges[a] = m.reshape(n_states, n_states)
+    # x[a, 0, 0, t] = h(a) t, and blocks[a, i] is letter a's block at e_i
+    x = hat[np.searchsorted(letters, h.images)][:, None, None]
+    blocks = (x == np.arange(n1)[:, None]) | (x == targets)
+    m = blocks[:, :, :, None] & np.eye(k, dtype=bool)[:, None, :, None]
+    edges = dict(zip(h.alphabet, m.reshape(-1, n_states, n_states)))
     s, e = rec.accepting.arrays()
     initial = np.zeros(n_states, dtype=bool)
     initial[np.searchsorted(idems, e) * n1 + s] = True
     final = np.zeros(n_states, dtype=bool)
-    final[diag * n1 + n1 - 1] = True
+    final[n1 - 1::n1] = True
     return _trim(BuchiAutomaton(n_states, h.alphabet, edges, initial, final))
 
 
@@ -149,19 +245,21 @@ def _trim(aut: BuchiAutomaton) -> BuchiAutomaton:
     (s, e) with s = h(a1...an), reading a1...an passes through the states
     (h(a(i+1)...an), e) to the final state (1, e)."""
     n = aut.n_states
-    any_edge = np.zeros((n, n), dtype=bool)
-    for m in aut.edges.values():
-        any_edge |= m
-    keep = aut.initial.copy()
-    while True:
-        nxt = keep | np.any(any_edge[keep], axis=0)
-        if np.array_equal(nxt, keep):
-            break
-        keep = nxt
-    keep = np.nonzero(keep)[0]
-    if len(keep) == n:
+    letters = np.array(list(aut.edges.values()), dtype=bool)
+    succ = [0] * n  # succ[p]: the states some letter leads p to
+    for i, row in enumerate(_ints(letters.reshape(-1, n))):
+        succ[i % n] |= row
+    keep = todo = _ints(aut.initial[None])[0]
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = succ[low.bit_length() - 1] & ~keep
+        keep |= new
+        todo |= new
+    if keep == (1 << n) - 1:
         return aut
-    edges = {a: m[np.ix_(keep, keep)] for a, m in aut.edges.items()}
+    keep = np.array([q for q in range(n) if keep >> q & 1], dtype=np.intp)
+    edges = dict(zip(aut.edges, letters[:, keep[:, None], keep]))
     return BuchiAutomaton(len(keep), aut.alphabet, edges,
                           aut.initial[keep], aut.final[keep])
 

@@ -1,16 +1,18 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from omegasem import (BuchiAutomaton, ClosureCapExceeded, PairSet,
+from omegasem import (BuchiAutomaton, ClosureCapExceeded, Morphism, PairSet,
                       Recognizer, UPWord, buchi, buchi_accepts_lasso,
-                      buchi_to_strong, close_under_conjugation, inclusion,
+                      buchi_to_strong, close_generators,
+                      close_under_conjugation, inclusion,
                       is_conjugation_closed, is_strong, linked_pairs, member,
                       minimize, morphism_to_buchi, semigroup, weak_to_strong)
 from omegasem.formats import dumps_recognizer
 
-from conftest import (random_pair_set, random_recognizer,
+from conftest import (oversized_pair, random_pair_set, random_recognizer,
                       random_transformation_morphism, random_upword,
                       s1_table, section5_morphism)
 
@@ -77,6 +79,123 @@ def test_buchi_to_strong_agrees_with_lasso_simulation(rng):
         for _ in range(40):
             w = random_upword(rng, aut.alphabet)
             assert member(rec, w) == buchi_accepts_lasso(aut, w), str(w)
+
+
+def dense_buchi_to_strong(aut):
+    """``buchi_to_strong`` over dense profiles: entry (p, q) is 0 (no
+    path), 1 (a path) or 2 (a path through a final state), and entry
+    (p, r) of x g is the largest max(x[p, q], g[q, r]) over the q where
+    both are nonzero, or 0."""
+    n, fin = aut.n_states, aut.final
+
+    def profile(m):
+        return np.where(m & (fin[:, None] | fin), 2, m).astype(np.int8)
+
+    gens = [profile(aut.edges[a]).tobytes() for a in aut.alphabet]
+    mats = [np.frombuffer(g, np.int8).reshape(n, n)
+            for g in dict.fromkeys(gens)]
+
+    def right(x):
+        x = np.frombuffer(x, np.int8).reshape(n, n)[:, :, None]
+        return [np.where((x > 0) & (g > 0), np.maximum(x, g), 0).max(
+            axis=1, initial=0).astype(np.int8).tobytes() for g in mats]
+
+    sg, seeds, elements = close_generators(gens, right)
+    prof = np.frombuffer(b"".join(elements), np.int8).reshape(
+        len(elements), n, n)
+    reach = (prof[:, aut.initial] > 0).any(axis=1)
+    loops = np.diagonal(prof, axis1=1, axis2=2) == 2
+    ss, es = linked_pairs(sg).arrays()
+    hit = (reach[ss] & loops[es]).any(axis=1)
+    return Recognizer(Morphism(aut.alphabet, sg, seeds),
+                      PairSet(zip(ss[hit].tolist(), es[hit].tolist())),
+                      "strong")
+
+
+def random_deterministic_buchi(rng, *, max_states=5,
+                               alphabet=("a", "b", "c")):
+    n = rng.randint(1, max_states)
+    triples = [(p, a, rng.randrange(n)) for p in range(n) for a in alphabet
+               if rng.random() < 0.8]
+    initial = [q for q in range(n) if rng.random() < 0.4] or [0]
+    final = [q for q in range(n) if rng.random() < 0.4]
+    return BuchiAutomaton.from_triples(n, alphabet, triples, initial, final)
+
+
+def same_as_dense(aut):
+    got, want = buchi_to_strong(aut), dense_buchi_to_strong(aut)
+    for generated in (False, True):
+        assert (dumps_recognizer(got, generated=generated)
+                == dumps_recognizer(want, generated=generated))
+
+
+def kernel_taken(aut):
+    """The profile kernels ``buchi_to_strong`` runs on ``aut``."""
+    taken = []
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_bit_profiles", "_target_profiles"):
+            def spy(*args, name=name, real=getattr(buchi, name)):
+                taken.append(name)
+                return real(*args)
+            m.setattr(buchi, name, spy)
+        buchi_to_strong(aut)
+    return taken
+
+
+def test_kernels_match_the_dense_profiles():
+    rng = random.Random(31)
+    for _ in range(40):
+        for aut, kernel in ((random_buchi(rng), None),
+                            (random_deterministic_buchi(rng),
+                             "_target_profiles")):
+            same_as_dense(aut)
+            if kernel:
+                assert kernel_taken(aut) == [kernel]
+    for rec in [random_recognizer(rng, max_size=8) for _ in range(15)]:
+        aut = morphism_to_buchi(rec)
+        same_as_dense(aut)
+
+
+def test_kernel_edge_cases():
+    cases = {
+        "no states": (BuchiAutomaton.from_triples(0, "ab", [], [], []),
+                      "_bit_profiles"),
+        "a letter with no edges, deterministic": (
+            BuchiAutomaton.from_triples(2, "abc", [(0, "a", 1), (1, "b", 0)],
+                                        [0], [1]), "_target_profiles"),
+        "a letter with no edges, nondeterministic": (
+            BuchiAutomaton.from_triples(
+                2, "abc", [(0, "a", 0), (0, "a", 1), (1, "b", 0)],
+                [0], [1]), "_bit_profiles"),
+        # aaa dies from 0 after passing the final state 1, bb dies from 2
+        # through no final state: the same all-zero profile, one element
+        "a path through a final state that dies": (
+            BuchiAutomaton.from_triples(
+                3, "ab", [(0, "a", 1), (1, "a", 2), (2, "b", 0)], [0], [1]),
+            "_target_profiles"),
+        "deterministic but for one row": (
+            BuchiAutomaton.from_triples(
+                3, "ab", [(0, "a", 1), (1, "a", 2), (2, "b", 0),
+                          (2, "b", 1)], [0], [1]), "_bit_profiles"),
+    }
+    for name, (aut, kernel) in cases.items():
+        same_as_dense(aut)
+        assert kernel_taken(aut) == [kernel], name
+
+
+# sha256 of the generated dumps of the two sides' strong forms, as the dense
+# profiles gave them
+OVERSIZED_STRONG = (
+    (489, "b37d31ffb8875ae2cf0dfb19251bb6b6c0e589742bf6eb9de74266a6b94f8bbc"),
+    (3740, "acad0f6e875b4d2290c798831633c6353dcd93cb66d3724c3e802341652b7dda"))
+
+
+def test_oversized_pair_strong_forms_are_pinned():
+    for rec, (size, digest) in zip(oversized_pair(), OVERSIZED_STRONG):
+        strong = weak_to_strong(rec)
+        assert strong.morphism.semigroup.size == size
+        text = dumps_recognizer(strong, generated=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_morphism_to_buchi_roundtrip(rng):

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
 
-from omegasem import (MsoSyntaxError, UPWord, compile_formula, evaluate,
-                      member, parse)
+from omegasem import (BuchiAutomaton, MsoSyntaxError, UPWord, compile_formula,
+                      evaluate, member, parse)
 from omegasem import buchi, langops, mso, syntactic
 from omegasem.cli import table1_lines
 from omegasem.formats import dumps_recognizer
@@ -467,6 +468,84 @@ def test_larger_rows_are_pinned(family, k):
     triple, digest = LARGER_ROWS[family, k]
     assert recognizer_stats(rec) == triple
     assert hashlib.sha256(dumps_recognizer(rec).encode()).hexdigest() == digest
+
+
+# -- a second route to the table1 rows ---------------------------------------
+# Hand-built deterministic Büchi automata for the three families.  The
+# syntactic recognizer numbered from the letter images is canonical, so
+# minimize(buchi_to_strong(aut)) must give the compiler's bytes; the route
+# shares only the profile closure and minimisation with the compiler.
+
+
+def deterministic_buchi(k, start, step, final):
+    """The reachable part of the automaton over 2^{X1..Xk} whose state
+    after reading a letter is ``step(state, hit)``, with ``hit`` the set
+    of track ranks the letter holds (None: no transition)."""
+    letters = var_alphabet(range(k))
+    number, order, triples = {start: 0}, [start], []
+    for state in order:  # grows while it is read
+        for a in letters:
+            nxt = step(state, {i for i in range(k) if a[i] == "1"})
+            if nxt is not None:
+                if nxt not in number:
+                    number[nxt] = len(order)
+                    order.append(nxt)
+                triples.append((number[state], a, number[nxt]))
+    return BuchiAutomaton.from_triples(
+        len(order), letters, triples, [0],
+        [i for i, state in enumerate(order) if final(state)])
+
+
+def phi_buchi(k):
+    """k + 1 counter states: the round of X1..Xk met so far, final when a
+    round completes; one letter may advance the counter several times."""
+    def step(c, hit):
+        c = 0 if c == k else c
+        while c < k and c in hit:
+            c += 1
+        return c
+    return deterministic_buchi(k, 0, step, lambda c: c == k)
+
+
+def psi_buchi(k):
+    """2^k states, each the set of tracks required at the current
+    position; every state is final."""
+    def step(required, hit):
+        if not required <= hit:
+            return None
+        return frozenset((i + 1) % k for i in hit)
+    return deterministic_buchi(k, frozenset(), step, lambda _: True)
+
+
+def chi_buchi(k):
+    """Pending obligations O and a breakpoint subset B of O.  A state is
+    final when B is empty; the step after it watches all of O again."""
+    def step(state, hit):
+        owed, watched = state
+
+        def kept(tracks):  # those with no neighbour in this letter
+            return frozenset(i for i in tracks if not hit
+                             & {(i - 1) % k, (i + 1) % k})
+        return kept(owed) | hit, kept(watched or owed)
+    return deterministic_buchi(k, (frozenset(), frozenset()), step,
+                               lambda state: not state[1])
+
+
+FAMILY_BUCHI = {"phi": phi_buchi, "psi": psi_buchi, "chi": chi_buchi}
+FULL = os.environ.get("OMEGASEM_ACCEPTANCE_FULL") == "1"
+
+
+@pytest.mark.parametrize("family,k", [
+    *((family, k) for family in ("phi", "psi", "chi") for k in range(1, 5)),
+    ("psi", 5), ("psi", 6), ("chi", 5),
+    pytest.param("psi", 7, marks=pytest.mark.skipif(
+        not FULL, reason="set OMEGASEM_ACCEPTANCE_FULL=1"))])
+def test_a_second_route_gives_the_compiled_bytes(family, k):
+    aut = FAMILY_BUCHI[family](k)
+    assert all((m.sum(axis=1) <= 1).all() for m in aut.edges.values())
+    route = minimize(buchi.buchi_to_strong(aut))
+    assert dumps_recognizer(route, generated=True) == dumps_recognizer(
+        compile_formula(FAMILIES[family](k)), generated=True)
 
 
 # -- benchmark families ------------------------------------------------------
