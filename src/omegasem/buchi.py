@@ -89,58 +89,71 @@ def buchi_to_strong(aut: BuchiAutomaton) -> Recognizer:
 
 
 def _bit_profiles(letters, final):
-    """Profiles of a nondeterministic automaton as 2n bit rows in one int.
+    """Profiles of a nondeterministic automaton as n bit rows of ``size``
+    bytes each.
 
     Row p holds the set of states the word leads p to in its low n bits
     (``path``), and the subset it reaches through a final state in its
-    high n bits (``fin``); bit q of ``path`` row p sits at 2 n p + q.  Row
-    p of x g is read off row p of x alone: its ``path`` is the union of
-    g's ``path`` rows over the bits of x's ``path``, and its ``fin`` the
-    union of g's ``fin`` rows over those bits joined with the union of g's
-    ``path`` rows over the bits of x's ``fin``.  The union is taken for
-    every generator at once, one profile width apart, and memoised by row
-    value for the length of one closure.
+    next n bits (``fin``).  Row p of x g is read off row p of x alone: its
+    ``path`` is the union of g's ``path`` rows over the bits of x's
+    ``path``, and its ``fin`` the union of g's ``fin`` rows over those bits
+    joined with the union of g's ``path`` rows over the bits of x's
+    ``fin``.  ``_RowProducts`` memoises that row of x g for all G
+    generators g at once, by row value and for the length of one closure:
+    byte b of the j-th generator's row sits at b G + j.  Joined over x's n
+    rows, these lay every product out with its bytes G apart, and one
+    strided slice per generator reads it off.  Beyond the profiles, the
+    working memory is G rows for each of the 2n bits and for each row
+    value met.
     """
     k, n = len(letters), letters.shape[1]
-    width, row_mask, path_mask = 2 * n * n, (1 << 2 * n) - 1, (1 << n) - 1
-    fin = letters & (final[:, None] | final)
-    values = _ints(np.concatenate([letters, fin], axis=2).reshape(k, width))
-    gens = list(dict.fromkeys(values))
-    # what bit q of a row of x adds to that row of every x g, each g in its
-    # own slot: rows[q] for a path bit (g's row q), rows[n + q] for a fin
-    # bit (g's path row q, as a fin)
-    rows = [0] * (2 * n)
-    for j, g in enumerate(gens):
-        for q in range(n):
-            row = g >> 2 * n * q & row_mask
-            rows[q] |= row << j * width
-            rows[n + q] |= (row & path_mask) << n + j * width
-    memo = {0: 0}
-    shifts = [2 * n * p for p in range(n)]
-    full = (1 << width) - 1
-    slots = [j * width for j in range(len(gens))]
+    # rows 0..n-1 of each letter: its profile, ``path`` then ``fin``; rows
+    # n..2n-1: its ``path`` rows moved to ``fin``, what a ``fin`` bit adds
+    bits = np.zeros((k, 2 * n, 2 * n), dtype=bool)
+    bits[:, :n, :n] = bits[:, n:, n:] = letters
+    bits[:, :n, n:] = letters & (final[:, None] | final)
+    packed = np.packbits(bits, axis=2, bitorder="little")
+    size = packed.shape[2]
+    values = [x[:n].tobytes() for x in packed]
+    first = [values.index(v) for v in dict.fromkeys(values)]
+    # rows[q]: what bit q of a row of x adds to that row of every x g,
+    # byte b of g's share at b G + (g's number)
+    width = size * len(first)
+    data = packed[first].transpose(1, 2, 0).tobytes()
+    rows = [int.from_bytes(data[q * width:(q + 1) * width], "little")
+            for q in range(2 * n)]
+    products = _RowProducts(rows, width)
+    cuts = [slice(p * size, (p + 1) * size) for p in range(n)]
+    reads = [slice(j, None, len(first)) for j in range(len(first))]
+    join = b"".join
 
     def right(x):
-        out = 0
-        for s in shifts:
-            r = x >> s & row_mask
-            u = memo.get(r)
-            if u is None:
-                u = memo[r] = _union(rows, r)
-            out |= u << s
-        return [out >> s & full for s in slots]
+        out = join(map(products.__getitem__, map(x.__getitem__, cuts)))
+        return list(map(out.__getitem__, reads))
 
     def read(elements, initial):
-        size = (width + 7) // 8
-        bits = np.unpackbits(np.frombuffer(
-            b"".join(x.to_bytes(size, "little") for x in elements),
-            dtype=np.uint8).reshape(len(elements), size), axis=1,
-            count=width, bitorder="little").view(bool)
-        bits = bits.reshape(len(elements), n, 2, n)
-        return (bits[:, initial, 0].any(axis=1),
-                np.diagonal(bits[:, :, 1], axis1=1, axis2=2))
+        bits = np.frombuffer(b"".join(elements), dtype=np.uint8).reshape(
+            len(elements), n, size)
+        bits = np.unpackbits(bits, axis=2, count=2 * n,
+                             bitorder="little").view(bool)
+        return (bits[:, initial, :n].any(axis=1),
+                np.diagonal(bits[:, :, n:], axis1=1, axis2=2))
 
     return values, right, read
+
+
+class _RowProducts(dict):
+    """A row value of x -> that row of x g for every generator g, filled on
+    first use with the union of ``rows`` over the value's bits."""
+
+    def __init__(self, rows, width):
+        super().__init__()
+        self.rows, self.width = rows, width
+
+    def __missing__(self, row):
+        out = self[row] = _union(self.rows, int.from_bytes(
+            row, "little")).to_bytes(self.width, "little")
+        return out
 
 
 def _union(rows, bits):
@@ -207,11 +220,10 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     State (s, e) is numbered i (|S| + 1) + s, where e is the i-th
     idempotent and s = |S| stands for the identity of S^1.  Reading a moves
     (s, e) to (t, e) when h(a) t is s or s e, so each letter's matrix is
-    block diagonal, one (|S| + 1)^2 block per idempotent; all of them are
-    built in one array operation, after a budget check.  It reads the left
-    rows of the letter images and the idempotent columns, each with the
-    identity of S^1 appended.  The initial states are P, the final ones
-    (1, e).
+    block diagonal, one (|S| + 1)^2 block per idempotent, built with array
+    operations, after a budget check.  It reads the left rows of the letter
+    images and the idempotent columns, each with the identity of S^1
+    appended.  The initial states are P, the final ones (1, e).
     """
     h = rec.morphism
     sg = h.semigroup
@@ -220,22 +232,26 @@ def morphism_to_buchi(rec: Recognizer) -> BuchiAutomaton:
     k = len(idems)
     n_states = k * n1
     check_table_budget(n_states, entry_bytes=len(h.alphabet))
+    diag = np.arange(k)
     # targets[i, s] = s e_i for s in S^1
     targets = np.concatenate([cols, idems[None]]).T[:, :, None]
     letters = sorted(set(h.images))
     # hat[j, t] = x_j t for the letter images x_j and t in S^1
     hat = np.concatenate([sg.left_rows(letters),
                           np.array(letters)[:, None]], axis=1)
-    # x[a, 0, 0, t] = h(a) t, and blocks[a, i] is letter a's block at e_i
-    x = hat[np.searchsorted(letters, h.images)][:, None, None]
-    blocks = (x == np.arange(n1)[:, None]) | (x == targets)
-    m = blocks[:, :, :, None] & np.eye(k, dtype=bool)[:, None, :, None]
-    edges = dict(zip(h.alphabet, m.reshape(-1, n_states, n_states)))
+    row = np.arange(n1)[:, None]
+    edges = {}
+    for a, ha in zip(h.alphabet, h.images):
+        x = hat[letters.index(ha)]
+        blocks = (x == row)[None] | (x == targets)
+        m = np.zeros((k, n1, k, n1), dtype=bool)
+        m[diag, :, diag, :] = blocks
+        edges[a] = m.reshape(n_states, n_states)
     s, e = rec.accepting.arrays()
     initial = np.zeros(n_states, dtype=bool)
     initial[np.searchsorted(idems, e) * n1 + s] = True
     final = np.zeros(n_states, dtype=bool)
-    final[n1 - 1::n1] = True
+    final[diag * n1 + n1 - 1] = True
     return _trim(BuchiAutomaton(n_states, h.alphabet, edges, initial, final))
 
 

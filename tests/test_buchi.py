@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,28 @@ def test_kernel_edge_cases():
     for name, (aut, kernel) in cases.items():
         same_as_dense(aut)
         assert kernel_taken(aut) == [kernel], name
+
+
+def test_bit_profiles_on_hundreds_of_states_stay_small():
+    """400 states, 5 profiles: the working memory follows the profiles.
+    The kernel peaks near 3 MB here; spacing the generators' memoised rows
+    a whole profile apart peaks above 50 MB."""
+    n = 400
+    triples = ([(p, "a", q) for p in range(n) for q in (0, 1)]
+               + [(p, "b", p if p else n - 1) for p in range(n)])
+    aut = BuchiAutomaton.from_triples(n, "ab", triples, [0], [1])
+    tracemalloc.start()
+    try:
+        rec = buchi_to_strong(aut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel_taken(aut) == ["_bit_profiles"]
+    assert peak < 8 << 20, peak
+    rng = random.Random(400)
+    for _ in range(20):
+        w = random_upword(rng, "ab")
+        assert member(rec, w) == buchi_accepts_lasso(aut, w), str(w)
 
 
 # sha256 of the generated dumps of the two sides' strong forms, as the dense
